@@ -220,22 +220,15 @@ impl PathMobility {
     /// dt }`: every step but the last advances by exactly 0.1 s, so the
     /// distance after `k` full steps does not depend on the query time and
     /// the memoized prefix in `self.progress` continues where the previous
-    /// query stopped — bit-identical to integrating from scratch.
+    /// query stopped — bit-identical to integrating from scratch. The
+    /// countdown itself is evaluated in closed form, in O(log elapsed).
     pub fn distance_at(&self, t: SimTime) -> f64 {
         let elapsed = t.saturating_since(self.start_time).as_secs_f64();
         if self.corner_speed_factor >= 0.999 || self.corner_influence_m <= 0.0 {
             return self.start_offset_m + self.nominal_speed * elapsed;
         }
-        let step = 0.1;
-        // Replicate the reference countdown without evaluating the speed
-        // profile: full steps subtract exactly `step`, reproducing the
-        // trailing fractional `dt` bit for bit.
-        let mut remaining = elapsed;
-        let mut full_steps: u64 = 0;
-        while remaining > step {
-            remaining -= step;
-            full_steps += 1;
-        }
+        let step = INTEGRATION_STEP_S;
+        let (full_steps, remaining) = split_steps(elapsed);
         let (stored_steps, stored_dist) = self.progress.get();
         // A query before the memoized point (e.g. a `speed_at` probe)
         // replays from the start and keeps the longer stored prefix.
@@ -268,6 +261,54 @@ impl PathMobility {
             self.nominal_speed
         }
     }
+}
+
+/// The integration step of [`PathMobility::distance_at`], in seconds.
+const INTEGRATION_STEP_S: f64 = 0.1;
+
+/// Mask of the 52 explicit mantissa bits of an `f64`.
+const MANTISSA_MASK: u64 = (1 << 52) - 1;
+
+/// The result of the reference countdown `while remaining > 0.1 {
+/// remaining -= 0.1; full_steps += 1 }` started from `elapsed`: the number
+/// of full steps and the left-over `remaining`, bit for bit, in
+/// O(log elapsed) instead of O(elapsed).
+///
+/// Inside one binade `[2^e, 2^(e+1))` with `e >= 0` the spacing of doubles
+/// is `u = 2^(e-52)`, and `0.1 / u` is never exactly half-way between two
+/// integers (the only tie binade for this step is `[0.25, 0.5)`). So every
+/// subtraction whose exact result stays in the binade removes the same
+/// whole number `D` of ulps, and that holds whenever the mantissa `R` (the
+/// offset above `2^e` in ulps) is at least `D + 1`. The `(R - 1) / D` steps
+/// that keep that margin collapse to one integer multiply; the step that
+/// crosses into the next binade down, and everything below 1.0, run the
+/// plain loop.
+///
+/// `elapsed` comes from a [`SimTime`] span, so it is finite and below
+/// 2^35 s, where `D > 2^14`.
+fn split_steps(elapsed: f64) -> (u64, f64) {
+    let step = INTEGRATION_STEP_S;
+    let mut remaining = elapsed;
+    let mut full_steps: u64 = 0;
+    while remaining >= 1.0 {
+        let bits = remaining.to_bits();
+        // `D`, measured with the loop's own subtraction at the top of the
+        // binade, where the result certainly stays inside it.
+        let top = f64::from_bits(bits | MANTISSA_MASK);
+        let ulps_per_step = top.to_bits() - (top - step).to_bits();
+        let mantissa = bits & MANTISSA_MASK;
+        let jump = mantissa.saturating_sub(1) / ulps_per_step;
+        remaining = f64::from_bits(bits - jump * ulps_per_step);
+        full_steps += jump;
+        // The boundary step, exactly as the reference takes it.
+        remaining -= step;
+        full_steps += 1;
+    }
+    while remaining > step {
+        remaining -= step;
+        full_steps += 1;
+    }
+    (full_steps, remaining)
 }
 
 /// Distance between two arc-length positions, respecting wrap-around on loops.
@@ -494,6 +535,114 @@ mod tests {
                 .with_corner_slowdown(0.45, 15.0);
             assert_eq!(warm.distance_at(t), fresh.distance_at(t), "at {t:?}");
             assert_eq!(warm.position_at(t), fresh.position_at(t), "at {t:?}");
+        }
+    }
+
+    /// The reference countdown [`split_steps`] must reproduce.
+    fn countdown_loop(elapsed: f64) -> (u64, f64) {
+        let mut remaining = elapsed;
+        let mut full_steps = 0;
+        while remaining > 0.1 {
+            remaining -= 0.1;
+            full_steps += 1;
+        }
+        (full_steps, remaining)
+    }
+
+    /// The documented reference integration, from scratch on every query:
+    /// no memo, no closed-form countdown.
+    fn reference_distance(car: &PathMobility, t: SimTime) -> f64 {
+        let elapsed = t.saturating_since(car.start_time).as_secs_f64();
+        if car.corner_speed_factor >= 0.999 || car.corner_influence_m <= 0.0 {
+            return car.start_offset_m + car.nominal_speed * elapsed;
+        }
+        let mut dist = car.start_offset_m;
+        let mut remaining = elapsed;
+        while remaining > 0.0 {
+            let dt = remaining.min(0.1);
+            dist += car.effective_speed_at_distance(dist) * dt;
+            remaining -= dt;
+        }
+        dist
+    }
+
+    /// Uniform nanosecond instants below `max_ns` (splitmix64).
+    fn random_nanos(seed: u64, count: usize, max_ns: u64) -> Vec<u64> {
+        let mut state = seed;
+        (0..count)
+            .map(|_| {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % max_ns
+            })
+            .collect()
+    }
+
+    fn assert_split_matches_loop(elapsed: f64) {
+        let (steps, rest) = split_steps(elapsed);
+        let (want_steps, want_rest) = countdown_loop(elapsed);
+        assert_eq!(steps, want_steps, "full steps from {elapsed}");
+        assert_eq!(rest.to_bits(), want_rest.to_bits(), "remainder from {elapsed}");
+    }
+
+    #[test]
+    fn closed_form_countdown_matches_the_loop() {
+        // Every millisecond to 120 s and every 100 ms mobility tick to
+        // 2 000 s, as `SimTime` produces them.
+        for ms in (0..120_000u64).chain((120_000..2_000_000).step_by(100)) {
+            assert_split_matches_loop(SimTime::from_millis(ms).as_secs_f64());
+        }
+        // Random nanosecond instants up to 20 000 s, plus the values on
+        // and around each binade boundary the closed form stops at.
+        for ns in random_nanos(0xc0de, 500, 20_000 * 1_000_000_000) {
+            assert_split_matches_loop(SimTime::from_nanos(ns).as_secs_f64());
+        }
+        for e in 0..15 {
+            let edge = f64::powi(2.0, e);
+            for x in [edge, edge + 0.1, edge - 0.1, edge.next_up(), edge.next_down()] {
+                assert_split_matches_loop(x);
+            }
+        }
+    }
+
+    #[test]
+    fn distance_matches_the_reference_integration() {
+        let square = Polyline::closed(vec![
+            Point::new(0.0, 0.0),
+            Point::new(120.0, 0.0),
+            Point::new(120.0, 80.0),
+            Point::new(0.0, 80.0),
+        ]);
+        let corner = Polyline::open(vec![
+            Point::new(0.0, 0.0),
+            Point::new(300.0, 0.0),
+            Point::new(300.0, 250.0),
+        ]);
+        let check = |car: &PathMobility, t: SimTime| {
+            let want = reference_distance(car, t);
+            assert_eq!(car.distance_at(t).to_bits(), want.to_bits(), "at {t:?}");
+            assert_eq!(car.position_at(t), car.path().point_at(want), "at {t:?}");
+        };
+        // 100 ms mobility ticks to 2 000 s on a loop, with a delayed start
+        // and a negative offset: every tick to 200 s, then one in seven —
+        // the reference costs O(elapsed) per query. The countdown test
+        // covers every tick to 2 000 s.
+        let looping = PathMobility::new(square, 7.0)
+            .with_start_offset(-12.5)
+            .with_start_time(SimTime::from_millis(2_300))
+            .with_corner_slowdown(0.45, 15.0);
+        for tick in (0..2_000u64).chain((2_000..20_000).step_by(7)) {
+            check(&looping, SimTime::from_millis(100 * tick));
+        }
+        // Random nanosecond instants on an open path, out of order.
+        let open = PathMobility::new(corner, 11.0)
+            .with_start_offset(-40.0)
+            .with_start_time(SimTime::from_nanos(1_234_567_891))
+            .with_corner_slowdown(0.6, 20.0);
+        for ns in random_nanos(7, 200, 200 * 1_000_000_000) {
+            check(&open, SimTime::from_nanos(ns));
         }
     }
 

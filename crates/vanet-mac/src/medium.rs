@@ -393,14 +393,15 @@ impl Medium {
         }
     }
 
-    /// The memoized deterministic link state of the (src, rx) pair at the
-    /// nodes' current positions.
     /// Largest node count the O(n^2) pair cache is kept for (1024 nodes =
     /// 1M entries, ~50 MB). Beyond it every link is computed directly —
     /// bit-identical, just without the memo — instead of letting the cache
     /// grow quadratically into gigabytes.
     const MAX_CACHED_NODES: usize = 1_024;
 
+    /// The memoized deterministic link state of the (src, rx) pair at the
+    /// nodes' current positions.
+    ///
     /// Returns the link state plus whether it was served from the pair
     /// cache (`true`) or computed from scratch (`false`) — the hit flag
     /// feeds the traced cached-vs-sampled budget split.
@@ -726,10 +727,34 @@ mod tests {
 
     /// The pre-optimization reference semantics of `transmit`: clone the
     /// frame per receiver, recompute the full link budget (path loss,
-    /// obstacles, shadowing) for every sample and every collision check.
-    /// `Medium::transmit` must reproduce its delivery sequence exactly.
+    /// obstacles, shadowing) for every sample and every collision check,
+    /// and draw fading through `FadingKind::sample_db`, which derives the
+    /// model's constants afresh on every draw. `Medium::transmit` must
+    /// reproduce its delivery sequence exactly.
     mod reference {
         use super::*;
+        use vanet_radio::{packet_error_rate, ReceptionVerdict};
+
+        /// One frame sampled from scratch, without the channel's prepared
+        /// fading constants.
+        fn sample_unprepared(
+            channel: &RadioChannel,
+            tx: Point,
+            rx: Point,
+            bits: u64,
+            rate: DataRate,
+            rng: &mut StreamRng,
+        ) -> ReceptionVerdict {
+            let state = channel.link_state(tx, rx);
+            let fading = channel.config().fading.sample_db(rng);
+            let snr_db = state.budget.snr_db + state.shadowing_db + fading;
+            let success_probability = 1.0 - packet_error_rate(snr_db, bits, rate);
+            ReceptionVerdict {
+                received: rng.chance(success_probability),
+                success_probability,
+                snr_db,
+            }
+        }
 
         pub struct RefMedium {
             pub config: MediumConfig,
@@ -775,7 +800,7 @@ mod tests {
                 {
                     let channel = self.channel_for(src_class, rx_class);
                     let verdict =
-                        channel.sample_reception(src_pos, rx_pos, frame.total_bits(), rate, rng);
+                        sample_unprepared(channel, src_pos, rx_pos, frame.total_bits(), rate, rng);
                     let mut outcome = if verdict.received {
                         DeliveryOutcome::Received
                     } else {
@@ -805,51 +830,57 @@ mod tests {
         /// The shared-payload, cache-memoized `transmit` produces delivery
         /// sequences identical to the clone-per-receiver reference
         /// implementation — across random topologies, mobility ticks and
-        /// overlapping transmission schedules on one shared RNG stream.
+        /// overlapping transmission schedules on one shared RNG stream, for
+        /// every fading kind: Rician (urban), Rayleigh (highway AP links)
+        /// and none (ideal).
         #[test]
         fn prop_transmit_matches_clone_per_receiver_reference(
             seed in 0u64..500,
             n_nodes in 2usize..6,
             steps in proptest::collection::vec((0u64..40, 0u32..6, 0.0f64..400.0), 1..25),
         ) {
-            let config = MediumConfig::urban_testbed();
-            let mut fast = Medium::new(config.clone());
-            let mut reference = reference::RefMedium::new(config);
-            for i in 0..n_nodes {
-                let class =
-                    if i == 0 { RadioClass::AccessPoint } else { RadioClass::Vehicle };
-                fast.register_node(NodeId::new(i as u32), class);
-                reference
-                    .nodes
-                    .insert(NodeId::new(i as u32), (class, Point::ORIGIN));
-            }
-            let mut rng_fast = StreamRng::derive(seed, "prop-medium");
-            let mut rng_ref = StreamRng::derive(seed, "prop-medium");
-            let mut now = SimTime::ZERO;
-            for (advance_ms, src_raw, x) in steps {
-                now += SimDuration::from_millis(advance_ms);
-                // Move every node (a mobility tick), invalidating the cache.
+            for config in
+                [MediumConfig::urban_testbed(), MediumConfig::highway(), MediumConfig::ideal()]
+            {
+                let mut fast = Medium::new(config.clone());
+                let mut reference = reference::RefMedium::new(config);
                 for i in 0..n_nodes {
-                    let pos = Point::new(x + i as f64 * 17.0, (i as f64) * 3.0);
-                    fast.update_position(NodeId::new(i as u32), pos);
-                    reference.nodes.get_mut(&NodeId::new(i as u32)).unwrap().1 = pos;
+                    let class =
+                        if i == 0 { RadioClass::AccessPoint } else { RadioClass::Vehicle };
+                    fast.register_node(NodeId::new(i as u32), class);
+                    reference
+                        .nodes
+                        .insert(NodeId::new(i as u32), (class, Point::ORIGIN));
                 }
-                let src = NodeId::new(src_raw % n_nodes as u32);
-                let frame = Frame::new(src, Destination::Broadcast, 500, src_raw);
-                let got = fast.transmit(now, &frame, DataRate::Mbps1, &mut rng_fast);
-                let want = reference.transmit(now, frame.clone(), DataRate::Mbps1, &mut rng_ref);
-                proptest::prop_assert_eq!(got.deliveries.len(), want.len());
-                for (d, (node, at, outcome, w_frame, snr)) in
-                    got.deliveries.iter().zip(&want)
-                {
-                    proptest::prop_assert_eq!(d.node, *node);
-                    proptest::prop_assert_eq!(d.at, *at);
-                    proptest::prop_assert_eq!(d.outcome, *outcome);
-                    proptest::prop_assert_eq!(d.snr_db, *snr);
-                    // The shared frame the caller keeps is what the
-                    // reference delivered to every receiver.
-                    proptest::prop_assert_eq!(&frame, w_frame);
+                let mut rng_fast = StreamRng::derive(seed, "prop-medium");
+                let mut rng_ref = StreamRng::derive(seed, "prop-medium");
+                let mut now = SimTime::ZERO;
+                for &(advance_ms, src_raw, x) in &steps {
+                    now += SimDuration::from_millis(advance_ms);
+                    // Move every node (a mobility tick), invalidating the cache.
+                    for i in 0..n_nodes {
+                        let pos = Point::new(x + i as f64 * 17.0, (i as f64) * 3.0);
+                        fast.update_position(NodeId::new(i as u32), pos);
+                        reference.nodes.get_mut(&NodeId::new(i as u32)).unwrap().1 = pos;
+                    }
+                    let src = NodeId::new(src_raw % n_nodes as u32);
+                    let frame = Frame::new(src, Destination::Broadcast, 500, src_raw);
+                    let got = fast.transmit(now, &frame, DataRate::Mbps1, &mut rng_fast);
+                    let want = reference.transmit(now, frame.clone(), DataRate::Mbps1, &mut rng_ref);
+                    proptest::prop_assert_eq!(got.deliveries.len(), want.len());
+                    for (d, (node, at, outcome, w_frame, snr)) in
+                        got.deliveries.iter().zip(&want)
+                    {
+                        proptest::prop_assert_eq!(d.node, *node);
+                        proptest::prop_assert_eq!(d.at, *at);
+                        proptest::prop_assert_eq!(d.outcome, *outcome);
+                        proptest::prop_assert_eq!(d.snr_db, *snr);
+                        // The shared frame the caller keeps is what the
+                        // reference delivered to every receiver.
+                        proptest::prop_assert_eq!(&frame, w_frame);
+                    }
                 }
+
             }
         }
     }

@@ -18,7 +18,7 @@ use sim_core::StreamRng;
 use vanet_geo::Point;
 
 use crate::datarate::DataRate;
-use crate::fading::FadingKind;
+use crate::fading::{FadingKind, FadingModel, PreparedFading};
 use crate::obstacles::ObstacleMap;
 use crate::pathloss::{LogDistance, PathLossModel};
 use crate::per::packet_error_rate;
@@ -303,13 +303,16 @@ impl SpatialField {
 pub struct RadioChannel {
     config: RadioConfig,
     field: SpatialField,
+    /// `config.fading` with its constants computed once.
+    fading: PreparedFading,
 }
 
 impl RadioChannel {
     /// Creates a channel from its configuration.
     pub fn new(config: RadioConfig) -> Self {
         let field = SpatialField::new(config.shadowing_seed, config.shadowing_decorrelation_m, 24);
-        RadioChannel { config, field }
+        let fading = config.fading.prepare();
+        RadioChannel { config, field, fading }
     }
 
     /// The configuration this channel was built from.
@@ -346,7 +349,7 @@ impl RadioChannel {
         rate: DataRate,
         rng: &mut StreamRng,
     ) -> ReceptionVerdict {
-        let fading = self.config.fading.sample_db(rng);
+        let fading = self.fading.sample_db(rng);
         let snr_db = state.budget.snr_db + state.shadowing_db + fading;
         let per = packet_error_rate(snr_db, bits, rate);
         let success_probability = 1.0 - per;

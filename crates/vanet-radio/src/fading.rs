@@ -50,28 +50,34 @@ impl FadingModel for RayleighFading {
 /// street-canyon link with the AP in view is typically K ≈ 4–8 dB, which is
 /// what keeps mid-coverage losses in the paper's testbed at the 20–30 % level
 /// rather than the 50 %+ a pure Rayleigh channel would produce.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+///
+/// The two amplitudes the draw needs are computed once, by
+/// [`RicianFading::new`], so a sample costs two normal draws and a `log10`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RicianFading {
-    /// The K factor in dB (ratio of line-of-sight to scattered power).
-    pub k_db: f64,
+    /// Amplitude of the line-of-sight component, `sqrt(K / (K + 1))`.
+    los: f64,
+    /// Standard deviation of each scattered quadrature,
+    /// `sqrt(1 / (2 (K + 1)))`.
+    sigma: f64,
 }
 
 impl RicianFading {
     /// Creates a Rician fading model with the given K factor in dB.
     pub fn new(k_db: f64) -> Self {
-        RicianFading { k_db }
+        let k = 10f64.powf(k_db / 10.0);
+        // Complex gain = LOS component + scattered component, normalised so
+        // that the mean power is 1: E[|h|^2] = K/(K+1) + 1/(K+1) = 1.
+        let los = (k / (k + 1.0)).sqrt();
+        let sigma = (1.0 / (2.0 * (k + 1.0))).sqrt();
+        RicianFading { los, sigma }
     }
 }
 
 impl FadingModel for RicianFading {
     fn sample_db(&self, rng: &mut StreamRng) -> f64 {
-        let k = 10f64.powf(self.k_db / 10.0);
-        // Complex gain = LOS component + scattered component, normalised so
-        // that the mean power is 1: E[|h|^2] = K/(K+1) + 1/(K+1) = 1.
-        let los = (k / (k + 1.0)).sqrt();
-        let sigma = (1.0 / (2.0 * (k + 1.0))).sqrt();
-        let re = los + sigma * rng.standard_normal();
-        let im = sigma * rng.standard_normal();
+        let re = self.los + self.sigma * rng.standard_normal();
+        let im = self.sigma * rng.standard_normal();
         let power = (re * re + im * im).max(1e-9);
         10.0 * power.log10()
     }
@@ -96,10 +102,34 @@ pub enum FadingKind {
 impl FadingKind {
     /// Samples the per-frame fading gain in dB.
     pub fn sample_db(&self, rng: &mut StreamRng) -> f64 {
+        self.prepare().sample_db(rng)
+    }
+
+    /// The model with its constants computed, for callers that sample it
+    /// many times.
+    pub(crate) fn prepare(&self) -> PreparedFading {
         match self {
-            FadingKind::None => NoFading.sample_db(rng),
-            FadingKind::Rayleigh => RayleighFading.sample_db(rng),
-            FadingKind::Rician { k_db } => RicianFading::new(*k_db).sample_db(rng),
+            FadingKind::None => PreparedFading::None,
+            FadingKind::Rayleigh => PreparedFading::Rayleigh,
+            FadingKind::Rician { k_db } => PreparedFading::Rician(RicianFading::new(*k_db)),
+        }
+    }
+}
+
+/// A [`FadingKind`] ready to sample: the Rician amplitudes are computed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum PreparedFading {
+    None,
+    Rayleigh,
+    Rician(RicianFading),
+}
+
+impl FadingModel for PreparedFading {
+    fn sample_db(&self, rng: &mut StreamRng) -> f64 {
+        match self {
+            PreparedFading::None => NoFading.sample_db(rng),
+            PreparedFading::Rayleigh => RayleighFading.sample_db(rng),
+            PreparedFading::Rician(rician) => rician.sample_db(rng),
         }
     }
 }
@@ -222,6 +252,31 @@ mod tests {
             deep_rice * 4 < deep_rayleigh,
             "Rician K=6 dB must fade far less often ({deep_rice} vs {deep_rayleigh})"
         );
+    }
+
+    #[test]
+    fn prepared_rician_matches_the_per_draw_formula_bit_for_bit() {
+        // The formula as it stood before the amplitudes were hoisted.
+        let formula = |k_db: f64, rng: &mut StreamRng| {
+            let k = 10f64.powf(k_db / 10.0);
+            let los = (k / (k + 1.0)).sqrt();
+            let sigma = (1.0 / (2.0 * (k + 1.0))).sqrt();
+            let re = los + sigma * rng.standard_normal();
+            let im = sigma * rng.standard_normal();
+            10.0 * (re * re + im * im).max(1e-9).log10()
+        };
+        for k_db in [-3.0, 0.0, 6.0, 10.0] {
+            let prepared = RicianFading::new(k_db);
+            let kind = FadingKind::Rician { k_db };
+            let mut twin_a = StreamRng::derive(21, "rice-twin");
+            let mut twin_b = StreamRng::derive(21, "rice-twin");
+            let mut twin_c = StreamRng::derive(21, "rice-twin");
+            for _ in 0..2_000 {
+                let want = formula(k_db, &mut twin_a).to_bits();
+                assert_eq!(prepared.sample_db(&mut twin_b).to_bits(), want, "K = {k_db} dB");
+                assert_eq!(kind.sample_db(&mut twin_c).to_bits(), want, "K = {k_db} dB");
+            }
+        }
     }
 
     #[test]
