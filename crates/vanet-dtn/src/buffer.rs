@@ -8,7 +8,9 @@
 //! * every car keeps a [`CoopBuffer`] with the packets it has overheard that
 //!   are addressed to the cars that listed it as a cooperator.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use vanet_mac::NodeId;
@@ -16,6 +18,17 @@ use vanet_mac::NodeId;
 use crate::packet::{DataPacket, SeqNo};
 
 /// Tracks which sequence numbers of one flow have been received.
+///
+/// The set is stored as a sorted list of 64-sequence blocks, one
+/// `(block, bits)` entry per block that holds at least one sequence number,
+/// where bit `i` of block `b` stands for sequence number `64 b + i`. A run
+/// of consecutive sequence numbers costs about one bit each; a sparse set
+/// costs one entry per non-empty block, never a bitset as long as its
+/// largest member. No entry is ever empty, so two maps holding the same set
+/// are equal field by field.
+///
+/// The map derives no serde traits: the derived form would expose the block
+/// layout and accept blocks that break the invariant above.
 ///
 /// # Examples
 ///
@@ -28,67 +41,109 @@ use crate::packet::{DataPacket, SeqNo};
 /// assert_eq!(map.missing(), vec![SeqNo::new(4), SeqNo::new(5)]);
 /// assert_eq!(map.received_count(), 2);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct ReceptionMap {
-    received: BTreeSet<SeqNo>,
+    /// `(block, bits)` entries, ascending by block, none with `bits == 0`.
+    blocks: Vec<(u32, u64)>,
+    /// Number of set bits over all blocks.
+    len: usize,
+}
+
+/// The block holding `seq` and the bit standing for it there.
+fn block_of(seq: SeqNo) -> (u32, u64) {
+    (seq.value() >> 6, 1 << (seq.value() & 63))
 }
 
 impl ReceptionMap {
     /// Creates an empty map.
-    pub fn new() -> Self {
-        ReceptionMap::default()
+    pub const fn new() -> Self {
+        ReceptionMap { blocks: Vec::new(), len: 0 }
+    }
+
+    /// The index of `block` in `blocks` (`Ok`) or where it would be inserted
+    /// (`Err`).
+    fn locate(&self, block: u32) -> Result<usize, usize> {
+        self.blocks.binary_search_by_key(&block, |&(b, _)| b)
     }
 
     /// Marks `seq` as received. Returns `true` if it was not already present.
     pub fn mark_received(&mut self, seq: SeqNo) -> bool {
-        self.received.insert(seq)
+        let (block, bit) = block_of(seq);
+        let index = match self.blocks.last() {
+            // Ascending inserts (the AP's order) land in or after the last block.
+            Some(&(last, _)) if last == block => self.blocks.len() - 1,
+            Some(&(last, _)) if last > block => match self.locate(block) {
+                Ok(index) => index,
+                Err(index) => {
+                    self.blocks.insert(index, (block, 0));
+                    index
+                }
+            },
+            _ => {
+                self.blocks.push((block, 0));
+                self.blocks.len() - 1
+            }
+        };
+        let bits = &mut self.blocks[index].1;
+        let fresh = *bits & bit == 0;
+        *bits |= bit;
+        self.len += usize::from(fresh);
+        fresh
     }
 
     /// Whether `seq` has been received.
     pub fn contains(&self, seq: SeqNo) -> bool {
-        self.received.contains(&seq)
+        let (block, bit) = block_of(seq);
+        self.locate(block).is_ok_and(|index| self.blocks[index].1 & bit != 0)
     }
 
     /// Number of distinct sequence numbers received.
     pub fn received_count(&self) -> usize {
-        self.received.len()
+        self.len
     }
 
     /// Whether nothing has been received yet.
     pub fn is_empty(&self) -> bool {
-        self.received.is_empty()
+        self.len == 0
     }
 
     /// The lowest sequence number received, if any.
     pub fn first(&self) -> Option<SeqNo> {
-        self.received.iter().next().copied()
+        self.blocks.first().map(|&(block, bits)| SeqNo::new(block << 6 | bits.trailing_zeros()))
     }
 
     /// The highest sequence number received, if any.
     pub fn last(&self) -> Option<SeqNo> {
-        self.received.iter().next_back().copied()
+        self.blocks
+            .last()
+            .map(|&(block, bits)| SeqNo::new(block << 6 | (63 - bits.leading_zeros())))
     }
 
     /// The sequence numbers missing between the first and the last received —
     /// the recovery target of the Cooperative-ARQ phase ("recover all packets
     /// from the first to the last received from the AP").
     pub fn missing(&self) -> Vec<SeqNo> {
-        match (self.first(), self.last()) {
-            (Some(first), Some(last)) => {
-                first.range_to_inclusive(last).filter(|s| !self.received.contains(s)).collect()
+        let mut missing = Vec::with_capacity(self.missing_count());
+        let mut next_block = self.blocks.first().map_or(0, |&(b, _)| b);
+        for (index, &(block, bits)) in self.blocks.iter().enumerate() {
+            // Blocks between two entries hold nothing at all.
+            missing.extend((next_block << 6..block << 6).map(SeqNo::new));
+            let mut absent = !bits;
+            if index == 0 {
+                absent &= u64::MAX << bits.trailing_zeros();
             }
-            _ => Vec::new(),
+            if index + 1 == self.blocks.len() {
+                absent &= u64::MAX >> bits.leading_zeros();
+            }
+            missing.extend(BitSeqs { base: block << 6, bits: absent });
+            next_block = block + 1;
         }
+        missing
     }
 
     /// Number of missing sequence numbers between first and last received.
     pub fn missing_count(&self) -> usize {
-        match (self.first(), self.last()) {
-            (Some(first), Some(last)) => {
-                (last.value() - first.value() + 1) as usize - self.received.len()
-            }
-            _ => 0,
-        }
+        self.span_len() - self.len
     }
 
     /// The span (first..=last) length, i.e. how many packets the AP sent to
@@ -96,31 +151,121 @@ impl ReceptionMap {
     /// received.
     pub fn span_len(&self) -> usize {
         match (self.first(), self.last()) {
-            (Some(first), Some(last)) => (last.value() - first.value() + 1) as usize,
+            (Some(first), Some(last)) => (last.value() - first.value()) as usize + 1,
             _ => 0,
         }
     }
 
     /// Iterates over the received sequence numbers in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = SeqNo> + '_ {
-        self.received.iter().copied()
+        self.blocks.iter().flat_map(|&(block, bits)| BitSeqs { base: block << 6, bits })
+    }
+
+    /// Adds every sequence number of `other` (set union), block by block.
+    pub fn union_with(&mut self, other: &ReceptionMap) {
+        if other.is_empty() {
+            return;
+        }
+        if self.is_empty() {
+            self.clone_from(other);
+            return;
+        }
+        let (mine, theirs) = (&self.blocks, &other.blocks);
+        let mut merged = Vec::with_capacity(mine.len() + theirs.len());
+        let (mut i, mut j) = (0, 0);
+        while let (Some(&(a, x)), Some(&(b, y))) = (mine.get(i), theirs.get(j)) {
+            merged.push(match a.cmp(&b) {
+                Ordering::Less => (a, x),
+                Ordering::Greater => (b, y),
+                Ordering::Equal => (a, x | y),
+            });
+            i += usize::from(a <= b);
+            j += usize::from(b <= a);
+        }
+        merged.extend_from_slice(&mine[i..]);
+        merged.extend_from_slice(&theirs[j..]);
+        self.len = merged.iter().map(|&(_, bits)| bits.count_ones() as usize).sum();
+        self.blocks = merged;
+    }
+
+    /// The union of `maps`: the joint ("virtual car") reception of several
+    /// observers of one flow.
+    pub fn union_of<'a>(maps: impl IntoIterator<Item = &'a ReceptionMap>) -> ReceptionMap {
+        let mut union = ReceptionMap::new();
+        for map in maps {
+            union.union_with(map);
+        }
+        union
     }
 
     /// Removes everything (e.g. when a new AP session starts).
     pub fn clear(&mut self) {
-        self.received.clear();
+        self.blocks.clear();
+        self.len = 0;
+    }
+
+    /// Number of 64-sequence blocks the map stores.
+    #[cfg(test)]
+    fn block_count(&self) -> usize {
+        self.blocks.len()
+    }
+}
+
+/// The sequence numbers of the set bits of one block, ascending.
+struct BitSeqs {
+    base: u32,
+    bits: u64,
+}
+
+impl Iterator for BitSeqs {
+    type Item = SeqNo;
+
+    fn next(&mut self) -> Option<SeqNo> {
+        if self.bits == 0 {
+            return None;
+        }
+        let offset = self.bits.trailing_zeros();
+        self.bits &= self.bits - 1;
+        Some(SeqNo::new(self.base | offset))
+    }
+}
+
+/// Prints the set of received sequence numbers.
+impl fmt::Debug for ReceptionMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_set().entries(self.iter()).finish()
     }
 }
 
 impl FromIterator<SeqNo> for ReceptionMap {
     fn from_iter<I: IntoIterator<Item = SeqNo>>(iter: I) -> Self {
-        ReceptionMap { received: iter.into_iter().collect() }
+        let mut map = ReceptionMap::new();
+        map.extend(iter);
+        map
     }
 }
 
+/// Ascending input (the AP's order, an encoded map) is appended as it comes.
+/// From the first number below the map's last block, the rest of the input
+/// is sorted once and merged in, so any input order costs O(n log n) rather
+/// than one block insert per number.
 impl Extend<SeqNo> for ReceptionMap {
     fn extend<I: IntoIterator<Item = SeqNo>>(&mut self, iter: I) {
-        self.received.extend(iter);
+        let mut iter = iter.into_iter();
+        while let Some(seq) = iter.next() {
+            if self.blocks.last().is_some_and(|&(last, _)| block_of(seq).0 < last) {
+                let mut rest: Vec<SeqNo> = iter.collect();
+                rest.push(seq);
+                rest.sort_unstable();
+                let mut sorted = ReceptionMap::new();
+                for seq in rest {
+                    sorted.mark_received(seq);
+                }
+                self.union_with(&sorted);
+                return;
+            }
+            self.mark_received(seq);
+        }
     }
 }
 
@@ -233,8 +378,9 @@ impl CoopBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::{prop_assert, prop_assert_eq, proptest};
+    use proptest::prelude::{prop_assert, prop_assert_eq, proptest, TestCaseError};
     use sim_core::SimTime;
+    use std::collections::BTreeSet;
 
     fn pkt(dst: u32, seq: u32) -> DataPacket {
         DataPacket::new(NodeId::new(dst), SeqNo::new(seq), 1_000, SimTime::ZERO)
@@ -272,6 +418,14 @@ mod tests {
         extended.extend([SeqNo::new(7)]);
         assert_eq!(extended.missing(), vec![SeqNo::new(5), SeqNo::new(6)]);
         assert_eq!(map.iter().count(), 5);
+    }
+
+    #[test]
+    fn sparse_maps_store_one_entry_per_occupied_block() {
+        let map: ReceptionMap = [u32::MAX, 0].into_iter().map(SeqNo::new).collect();
+        assert_eq!(map.block_count(), 2, "no bitset as long as the largest member");
+        assert_eq!(map.span_len(), 1 << 32);
+        assert_eq!(map.missing_count(), (1 << 32) - 2);
     }
 
     #[test]
@@ -339,7 +493,113 @@ mod tests {
         let _ = CoopBuffer::new(0);
     }
 
+    /// Decodes raw draws into an insert sequence mixing the shapes a
+    /// reception map meets: ascending runs (the AP's order), descending runs
+    /// and lone values anywhere in `u32` (out-of-order inserts), block edges
+    /// and the extremes `0` and `u32::MAX` (sparse inserts), and repeats of
+    /// earlier inserts (duplicates).
+    fn insert_sequence(ops: &[(u32, u32, u32)]) -> Vec<u32> {
+        let mut seqs: Vec<u32> = Vec::new();
+        for &(kind, value, small) in ops {
+            let start = if value % 2 == 0 { value % 3_000 } else { value };
+            match kind {
+                0 => seqs.extend((0..=small % 130).map_while(|i| start.checked_add(i))),
+                1 => seqs.extend((0..=small % 130).map_while(|i| start.checked_sub(i))),
+                2 => seqs.push(value),
+                3 => seqs.push(
+                    [0, u32::MAX, 63, 64, u32::MAX - 63, u32::MAX - 64, value & !63, value | 63]
+                        [small as usize % 8],
+                ),
+                _ => seqs.push(seqs.get(small as usize % seqs.len().max(1)).copied().unwrap_or(0)),
+            }
+        }
+        seqs
+    }
+
+    /// Inserts `seqs` one by one into a map and into a `BTreeSet` reference
+    /// and checks every accessor against the reference.
+    fn check_against_reference(seqs: &[u32]) -> Result<ReceptionMap, TestCaseError> {
+        let mut map = ReceptionMap::new();
+        let mut reference = BTreeSet::new();
+        for &s in seqs {
+            prop_assert_eq!(map.mark_received(SeqNo::new(s)), reference.insert(s));
+            prop_assert!(map.block_count() <= map.received_count());
+        }
+        let first = reference.first().copied();
+        let last = reference.last().copied();
+        prop_assert_eq!(map.first().map(SeqNo::value), first);
+        prop_assert_eq!(map.last().map(SeqNo::value), last);
+        prop_assert_eq!(map.received_count(), reference.len());
+        prop_assert_eq!(map.is_empty(), reference.is_empty());
+        let span = first.zip(last).map_or(0, |(f, l)| (l - f) as usize + 1);
+        prop_assert_eq!(map.span_len(), span);
+        prop_assert_eq!(map.missing_count(), span - reference.len());
+        if span <= 1 << 16 {
+            let expected: Vec<u32> = first.zip(last).map_or_else(Vec::new, |(f, l)| {
+                (f..=l).filter(|s| !reference.contains(s)).collect()
+            });
+            prop_assert_eq!(
+                map.missing().into_iter().map(SeqNo::value).collect::<Vec<_>>(),
+                expected
+            );
+        }
+        prop_assert_eq!(
+            map.iter().map(SeqNo::value).collect::<Vec<_>>(),
+            reference.iter().copied().collect::<Vec<_>>()
+        );
+        for &s in seqs {
+            for probe in [s, s.wrapping_add(1), s.wrapping_sub(1), s ^ 64] {
+                prop_assert_eq!(map.contains(SeqNo::new(probe)), reference.contains(&probe));
+            }
+        }
+        // The same set collected in insert order, ascending or descending,
+        // or extended from a non-empty map, is the same map.
+        let ascending: ReceptionMap = reference.iter().copied().map(SeqNo::new).collect();
+        let descending: ReceptionMap = reference.iter().rev().copied().map(SeqNo::new).collect();
+        let collected: ReceptionMap = seqs.iter().copied().map(SeqNo::new).collect();
+        let (head, tail) = seqs.split_at(seqs.len() / 2);
+        let mut extended: ReceptionMap = head.iter().copied().map(SeqNo::new).collect();
+        extended.extend(tail.iter().copied().map(SeqNo::new));
+        for built in [&ascending, &descending, &collected, &extended] {
+            prop_assert_eq!(built, &map);
+            prop_assert_eq!(built.received_count(), reference.len());
+        }
+        prop_assert_eq!(
+            format!("{map:?}"),
+            format!("{:?}", reference.iter().copied().map(SeqNo::new).collect::<BTreeSet<_>>())
+        );
+        let mut cleared = map.clone();
+        cleared.clear();
+        prop_assert_eq!(&cleared, &ReceptionMap::new());
+        prop_assert!(
+            cleared.is_empty() && cleared.first().is_none() && cleared.iter().next().is_none()
+        );
+        prop_assert_eq!(cleared.span_len(), 0);
+        Ok(map)
+    }
+
     proptest! {
+        /// Every accessor agrees with a `BTreeSet` model on insert sequences
+        /// with ascending runs, out-of-order, duplicate and sparse values;
+        /// the same sequences folded into a few thousand numbers give dense
+        /// maps whose `missing` list is checked too. `union_with` agrees with
+        /// the set union.
+        #[test]
+        fn prop_reception_map_matches_a_btreeset_model(
+            ops in proptest::collection::vec((0u32..5, 0u32..u32::MAX, 0u32..1_000), 1..30),
+            other in proptest::collection::vec((0u32..5, 0u32..u32::MAX, 0u32..1_000), 0..10),
+        ) {
+            let sparse = insert_sequence(&ops);
+            let dense: Vec<u32> = sparse.iter().map(|s| s % 5_000).collect();
+            let mut map = check_against_reference(&sparse)?;
+            check_against_reference(&dense)?;
+            let other = insert_sequence(&other);
+            let other_map = check_against_reference(&other)?;
+            map.union_with(&other_map);
+            let union: Vec<u32> = sparse.iter().chain(&other).copied().collect();
+            prop_assert_eq!(map, check_against_reference(&union)?);
+        }
+
         /// received + missing always equals the span between first and last.
         #[test]
         fn prop_reception_map_partition(seqs in proptest::collection::btree_set(0u32..500, 0..100)) {

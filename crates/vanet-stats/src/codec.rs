@@ -132,13 +132,24 @@ impl<'a> Reader<'a> {
         Ok(len)
     }
 
-    fn seqs(&mut self) -> Result<Vec<SeqNo>, CodecError> {
+    /// Reads a length-prefixed run of sequence numbers, yielding them
+    /// straight from the input slice. Any order and repeats are accepted.
+    fn seq_run(&mut self) -> Result<impl Iterator<Item = SeqNo> + 'a, CodecError> {
         let len = self.len(4)?;
-        (0..len).map(|_| Ok(SeqNo::new(self.u32()?))).collect()
+        let run = self.take(len * 4)?;
+        Ok(run
+            .chunks_exact(4)
+            .map(|b| SeqNo::new(u32::from_le_bytes(b.try_into().expect("4 bytes")))))
     }
 
+    fn seqs(&mut self) -> Result<Vec<SeqNo>, CodecError> {
+        Ok(self.seq_run()?.collect())
+    }
+
+    /// A reception map, built as it is read: an unsorted or repeating run
+    /// decodes to the set of its members.
     fn map(&mut self) -> Result<ReceptionMap, CodecError> {
-        Ok(self.seqs()?.into_iter().collect())
+        Ok(self.seq_run()?.collect())
     }
 }
 
@@ -213,6 +224,7 @@ impl RoundReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn sample() -> RoundReport {
         let destination = NodeId::new(1);
@@ -272,6 +284,81 @@ mod tests {
                 "cut at {cut} gave {err:?}"
             );
         }
+    }
+
+    /// A one-flow report written field by field, with the given seq lists
+    /// for `sent`, the destination's map and `after_coop`.
+    fn hand_built(sent: &[u32], direct: &[u32], after_coop: &[u32]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, 9); // round
+        put_u64(&mut bytes, 42); // seed
+        put_len(&mut bytes, 0); // counters
+        put_len(&mut bytes, 1); // flows
+        put_u32(&mut bytes, 1); // destination
+        for (i, seqs) in [sent, direct, after_coop].into_iter().enumerate() {
+            if i == 1 {
+                put_len(&mut bytes, 1); // observers
+                put_u32(&mut bytes, 1); // the destination observes itself
+            }
+            put_seqs(&mut bytes, seqs.iter().copied().map(SeqNo::new));
+        }
+        bytes
+    }
+
+    #[test]
+    fn hostile_seq_lists_decode_to_their_set_and_reencode_canonically() {
+        let direct = [u32::MAX, 0, 7, 7];
+        let after = [7, u32::MAX, 64, 0, 64];
+        let sent = [5, 3, 5];
+        let report = RoundReport::from_bytes(&hand_built(&sent, &direct, &after)).unwrap();
+        let flow = &report.result.flows[0];
+        let set = |seqs: &[u32]| seqs.iter().copied().collect::<BTreeSet<u32>>();
+        let members = |map: &ReceptionMap| map.iter().map(SeqNo::value).collect::<BTreeSet<_>>();
+        assert_eq!(members(flow.direct()), set(&direct));
+        assert_eq!(flow.direct().received_count(), 3);
+        assert_eq!(members(&flow.after_coop), set(&after));
+        assert_eq!(flow.sent, sent.map(SeqNo::new), "sent keeps its order and repeats");
+        // Maps re-encode ascending and deduplicated; `sent` as it came.
+        let canonical = hand_built(&sent, &[0, 7, u32::MAX], &[0, 7, 64, u32::MAX]);
+        assert_eq!(report.to_bytes(), canonical);
+        assert_eq!(RoundReport::from_bytes(&canonical).unwrap(), report);
+    }
+
+    #[test]
+    fn descending_sparse_run_decodes_in_n_log_n() {
+        // One entry per block, every insert out of order: inserting them one
+        // by one would move the whole block list each time.
+        let descending: Vec<u32> = (0..200_000u32).rev().map(|i| i * 64).collect();
+        let bytes = hand_built(&[], &descending, &[]);
+        let started = std::time::Instant::now();
+        let report = RoundReport::from_bytes(&bytes).unwrap();
+        let elapsed = started.elapsed();
+        let direct = report.result.flows[0].direct();
+        assert_eq!(direct.received_count(), descending.len());
+        assert!(direct.iter().map(SeqNo::value).eq(descending.iter().rev().copied()));
+        assert!(elapsed < std::time::Duration::from_secs(2), "decoding took {elapsed:?}");
+    }
+
+    #[test]
+    fn hostile_seq_lists_keep_their_codec_errors() {
+        let bytes = hand_built(&[5, 3, 5], &[u32::MAX, 0, 7, 7], &[7, u32::MAX, 64, 0, 64]);
+        let after_run = bytes.len() - 5 * 4;
+        // A cut inside a map's run leaves its prefix promising too much.
+        for cut in after_run..bytes.len() {
+            assert_eq!(RoundReport::from_bytes(&bytes[..cut]), Err(CodecError::LengthOverrun));
+        }
+        // A cut inside the map's length prefix is a plain truncation.
+        for cut in after_run - 3..after_run {
+            assert_eq!(RoundReport::from_bytes(&bytes[..cut]), Err(CodecError::Truncated));
+        }
+        // A prefix claiming one entry more than follows overruns.
+        let mut overrun = bytes.clone();
+        overrun[after_run - 4..after_run].copy_from_slice(&6u32.to_le_bytes());
+        assert_eq!(RoundReport::from_bytes(&overrun), Err(CodecError::LengthOverrun));
+        // One claiming fewer leaves the rest unconsumed.
+        let mut short = bytes;
+        short[after_run - 4..after_run].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(RoundReport::from_bytes(&short), Err(CodecError::TrailingBytes(4)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use serde::{Deserialize, Serialize};
-use vanet_dtn::{JointReceptionOracle, ReceptionMap, SeqNo};
+use vanet_dtn::{ReceptionMap, SeqNo};
 use vanet_mac::NodeId;
 
 /// Everything the evaluation needs to know about one flow (the packets
@@ -26,8 +26,9 @@ pub struct FlowObservation {
 impl FlowObservation {
     /// The destination's own direct receptions (empty map if it received
     /// nothing).
-    pub fn direct(&self) -> ReceptionMap {
-        self.received_by.get(&self.destination).cloned().unwrap_or_default()
+    pub fn direct(&self) -> &ReceptionMap {
+        static EMPTY: ReceptionMap = ReceptionMap::new();
+        self.received_by.get(&self.destination).unwrap_or(&EMPTY)
     }
 
     /// The packet window the paper evaluates: from the first to the last
@@ -37,36 +38,32 @@ impl FlowObservation {
         Some((direct.first()?, direct.last()?))
     }
 
+    /// The packets the AP transmitted within the destination's window.
+    fn sent_in_window(&self) -> impl Iterator<Item = SeqNo> + '_ {
+        let window = self.window();
+        self.sent.iter().copied().filter(move |s| window.is_some_and(|(f, l)| f <= *s && *s <= l))
+    }
+
     /// Number of packets the AP transmitted to this car within the car's own
     /// reception window — the paper's "Tx by the AP" column.
     pub fn tx_by_ap_in_window(&self) -> usize {
-        let Some((first, last)) = self.window() else { return 0 };
-        self.sent.iter().filter(|s| **s >= first && **s <= last).count()
+        self.sent_in_window().count()
     }
 
     /// Packets lost before cooperation (within the window).
     pub fn lost_before_coop(&self) -> usize {
-        let Some((first, last)) = self.window() else { return 0 };
         let direct = self.direct();
-        self.sent.iter().filter(|s| **s >= first && **s <= last && !direct.contains(**s)).count()
+        self.sent_in_window().filter(|s| !direct.contains(*s)).count()
     }
 
     /// Packets still lost after cooperation (within the window).
     pub fn lost_after_coop(&self) -> usize {
-        let Some((first, last)) = self.window() else { return 0 };
-        self.sent
-            .iter()
-            .filter(|s| **s >= first && **s <= last && !self.after_coop.contains(**s))
-            .count()
+        self.sent_in_window().filter(|s| !self.after_coop.contains(*s)).count()
     }
 
     /// The joint ("virtual car") reception across all observers.
     pub fn joint(&self) -> ReceptionMap {
-        let mut oracle = JointReceptionOracle::new();
-        for (observer, map) in &self.received_by {
-            oracle.observe_map(*observer, map);
-        }
-        oracle.union()
+        ReceptionMap::union_of(self.received_by.values())
     }
 
     /// How many of the packets that were recoverable (some observer had them)
@@ -76,13 +73,13 @@ impl FlowObservation {
     pub fn recovery_efficiency(&self) -> f64 {
         let Some((first, last)) = self.window() else { return 1.0 };
         let joint = self.joint();
-        let recoverable: Vec<SeqNo> =
-            first.range_to_inclusive(last).filter(|s| joint.contains(*s)).collect();
-        if recoverable.is_empty() {
+        let recoverable = || joint.iter().skip_while(|s| *s < first).take_while(|s| *s <= last);
+        let total = recoverable().count();
+        if total == 0 {
             return 1.0;
         }
-        let achieved = recoverable.iter().filter(|s| self.after_coop.contains(**s)).count();
-        achieved as f64 / recoverable.len() as f64
+        let achieved = recoverable().filter(|s| self.after_coop.contains(*s)).count();
+        achieved as f64 / total as f64
     }
 }
 
@@ -161,6 +158,23 @@ mod tests {
         partial.after_coop = [2u32, 3, 4, 5, 7].into_iter().map(SeqNo::new).collect();
         assert!(partial.recovery_efficiency() < 1.0);
         assert!(partial.recovery_efficiency() > 0.7);
+    }
+
+    #[test]
+    fn recovery_efficiency_counts_only_recoverable_packets() {
+        // Seq 6 reaches the destination although no observer captured it:
+        // it is neither recoverable nor an achievement.
+        let mut obs = sample();
+        obs.received_by.insert(NodeId::new(2), [5u32, 7].into_iter().map(SeqNo::new).collect());
+        let joint = obs.joint();
+        let recoverable: Vec<SeqNo> = SeqNo::new(2)
+            .range_to_inclusive(SeqNo::new(7))
+            .filter(|s| joint.contains(*s))
+            .collect();
+        assert_eq!(recoverable.len(), 5);
+        assert_eq!(obs.recovery_efficiency(), 1.0);
+        obs.after_coop = [2u32, 3, 4, 6, 7].into_iter().map(SeqNo::new).collect();
+        assert_eq!(obs.recovery_efficiency(), 4.0 / 5.0);
     }
 
     #[test]
