@@ -16,13 +16,23 @@ use rand::{Rng, RngCore, SeedableRng};
 /// SplitMix64 step — used to derive stream seeds from a master seed and a
 /// stream label hash. This is the standard seeding mixer recommended for
 /// xoshiro-family generators.
-fn splitmix64(state: &mut u64) -> u64 {
+///
+/// Also the tiny generator behind fault plans and the fleet supervisor's
+/// backoff jitter (re-exported by `vanet-faults`), so those stay pure
+/// functions of their seeds.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
 }
+
+/// The FNV-1a 64-bit offset basis: the hash of no bytes.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 /// FNV-1a over raw bytes — the workspace's one *specified* hash.
 ///
@@ -32,7 +42,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// journal checksums in `vanet-cache`. One shared implementation keeps
 /// those from drifting apart.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_chain(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a64_chain(FNV_OFFSET, bytes)
 }
 
 /// Folds more bytes into an FNV-1a state — lets one hash span several
@@ -41,9 +51,49 @@ pub fn fnv1a64_chain(state: u64, bytes: &[u8]) -> u64 {
     let mut hash = state;
     for b in bytes {
         hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
+        hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// [`fnv1a64`] of every part: element `i` is exactly `fnv1a64(parts[i])`.
+///
+/// FNV-1a is one serial multiply chain per input, so hashing one buffer is
+/// bound by the multiplier's latency, not its throughput. This kernel runs
+/// four chains side by side: four lanes each hash one part, and a lane
+/// whose part ends takes the next pending one, so parts of unequal length
+/// keep all four busy. Once fewer than four parts are left, the idle lanes
+/// re-hash a live lane's bytes into a discarded state, which keeps one
+/// loop shape and costs nothing the live chain does not already wait for.
+pub fn fnv1a64_each(parts: &[&[u8]]) -> Vec<u64> {
+    let mut hashes = vec![FNV_OFFSET; parts.len()];
+    // An empty part hashes to the offset basis and never takes a lane.
+    let mut pending = parts.iter().enumerate().filter(|(_, part)| !part.is_empty());
+    let mut lanes: [Option<(usize, &[u8], u64)>; 4] =
+        std::array::from_fn(|_| pending.next().map(|(i, part)| (i, *part, FNV_OFFSET)));
+    // Every pass runs all four lanes for the shortest live remainder.
+    while let Some(step) = lanes.iter().flatten().map(|(_, rest, _)| rest.len()).min() {
+        let filler = lanes.iter().flatten().map(|(_, rest, _)| &rest[..step]).next();
+        let filler = filler.expect("a step implies a live lane");
+        let [(s0, mut h0), (s1, mut h1), (s2, mut h2), (s3, mut h3)] =
+            lanes.map(|lane| lane.map_or((filler, 0), |(_, rest, hash)| (&rest[..step], hash)));
+        for (((b0, b1), b2), b3) in s0.iter().zip(s1).zip(s2).zip(s3) {
+            h0 = (h0 ^ u64::from(*b0)).wrapping_mul(FNV_PRIME);
+            h1 = (h1 ^ u64::from(*b1)).wrapping_mul(FNV_PRIME);
+            h2 = (h2 ^ u64::from(*b2)).wrapping_mul(FNV_PRIME);
+            h3 = (h3 ^ u64::from(*b3)).wrapping_mul(FNV_PRIME);
+        }
+        for (slot, hash) in lanes.iter_mut().zip([h0, h1, h2, h3]) {
+            let Some((i, rest, state)) = slot else { continue };
+            *rest = &rest[step..];
+            *state = hash;
+            if rest.is_empty() {
+                hashes[*i] = hash;
+                *slot = pending.next().map(|(i, part)| (i, *part, FNV_OFFSET));
+            }
+        }
+    }
+    hashes
 }
 
 /// FNV-1a hash of a label, used to turn stream names into seed material.
@@ -303,7 +353,78 @@ mod tests {
         assert_eq!(r0a.label(), "rounds#0");
     }
 
+    /// Asserts the four-lane kernel against the one-lane hash, part by part.
+    fn assert_each_matches(parts: &[&[u8]]) {
+        let each = fnv1a64_each(parts);
+        assert_eq!(each.len(), parts.len());
+        for (i, (part, hash)) in parts.iter().zip(&each).enumerate() {
+            assert_eq!(*hash, fnv1a64(part), "part {i} of {} (len {})", parts.len(), part.len());
+        }
+    }
+
+    #[test]
+    fn fnv1a64_known_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a64_each(&[b"a", b"", b"a"]),
+            [0xaf63_dc4c_8601_ec8c, FNV_OFFSET, 0xaf63_dc4c_8601_ec8c]
+        );
+    }
+
+    #[test]
+    fn fnv1a64_each_matches_fnv1a64_for_any_part_count() {
+        // Unequal lengths, so lanes finish at different steps and refill.
+        let bytes: Vec<u8> =
+            (0..4096u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8).collect();
+        let lens = [7usize, 0, 31, 1, 64, 3, 0, 129, 2, 17, 250];
+        for count in 0..=lens.len() {
+            let mut offset = 0;
+            let parts: Vec<&[u8]> = lens[..count]
+                .iter()
+                .map(|&len| {
+                    offset += 13;
+                    &bytes[offset..offset + len]
+                })
+                .collect();
+            assert_each_matches(&parts);
+        }
+    }
+
+    #[test]
+    fn fnv1a64_each_handles_empty_and_lopsided_parts() {
+        let long: Vec<u8> = (0..100_000u32).map(|i| (i % 251) as u8).collect();
+        let empty: &[u8] = &[];
+        assert_each_matches(&[]);
+        assert_each_matches(&[empty]);
+        assert_each_matches(&[empty; 9]);
+        // Leading and trailing empty parts around live ones.
+        assert_each_matches(&[empty, empty, b"xy", b"z", empty, b"carq", empty]);
+        // One part far longer than the rest, first, middle and last.
+        let short: [&[u8]; 6] = [b"a", b"bc", b"def", b"", b"ghij", b"k"];
+        for at in [0, 3, 6] {
+            let mut parts = short.to_vec();
+            parts.insert(at, &long);
+            assert_each_matches(&parts);
+        }
+        // More long parts than lanes, every one a different length.
+        let many: Vec<&[u8]> = (0..11).map(|i| &long[i * 37..i * 37 + 5_000 + i * 911]).collect();
+        assert_each_matches(&many);
+    }
+
     proptest! {
+        #[test]
+        fn prop_fnv1a64_each_matches_fnv1a64(lens in proptest::collection::vec(0usize..300, 0..12), seed in 0u64..1000) {
+            let mut state = seed;
+            let bytes: Vec<u8> = (0..3_600).map(|_| splitmix64(&mut state) as u8).collect();
+            let parts: Vec<&[u8]> = lens.iter().enumerate().map(|(i, &len)| &bytes[i * 300..i * 300 + len]).collect();
+            let each = fnv1a64_each(&parts);
+            prop_assert!(each.len() == parts.len());
+            for (part, hash) in parts.iter().zip(&each) {
+                prop_assert!(*hash == fnv1a64(part));
+            }
+        }
+
         #[test]
         fn prop_uniform_within_bounds(low in -1e6f64..1e6, width in 1e-3f64..1e6, seed in 0u64..1000) {
             let mut rng = StreamRng::derive(seed, "uniform");

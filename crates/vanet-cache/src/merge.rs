@@ -7,11 +7,14 @@
 //! them — checksummed, UTF-8 keys, decodable payloads — so a journal that
 //! was torn mid-write on the worker (or corrupted in transit) contributes
 //! its clean prefix and reports the dropped tail instead of poisoning the
-//! destination. Identical keys resolve **last-write-wins** in source
-//! order; under the purity contract duplicates carry identical payloads,
-//! so in practice a supersede only happens when two caches were produced
-//! by *different* code or schema versions — the [`MergeReport`] counts
-//! them separately so that drift is visible.
+//! destination. A verified record whose report re-encodes to its payload
+//! byte for byte is appended verbatim; one that decodes but is not in the
+//! codec's canonical form is re-encoded and checksummed afresh. Identical
+//! keys resolve **last-write-wins** in source order; under the purity
+//! contract duplicates carry identical payloads, so in practice a
+//! supersede only happens when two caches were produced by *different*
+//! code or schema versions — the [`MergeReport`] counts them separately so
+//! that drift is visible.
 
 use std::path::Path;
 
@@ -89,11 +92,11 @@ pub fn merge_into<P: AsRef<Path>>(
             ));
         }
         let mut failure: Option<CacheError> = None;
-        let valid_len = replay(&buf, |key, record_report, _len| {
+        let valid_len = replay(&buf, |key, record_report, record| {
             if failure.is_some() {
                 return;
             }
-            match dest.ingest(key, record_report) {
+            match dest.ingest(key, record_report, record) {
                 Ok(IngestOutcome::Inserted) => report.records_ingested += 1,
                 Ok(IngestOutcome::Duplicate) => report.records_duplicate += 1,
                 Ok(IngestOutcome::Superseded) => report.records_superseded += 1,
@@ -267,6 +270,88 @@ mod tests {
         assert_eq!(merged.sources, 1);
         assert_eq!(merged.records_written(), 0);
         for dir in [dest_dir, foreign, empty] {
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    #[test]
+    fn canonical_source_records_land_byte_for_byte() {
+        let a = shard("verbatim-a", 0..3);
+        let b = shard("verbatim-b", 3..7);
+        let dest_dir = temp_dir("verbatim-dest");
+        let dest = SweepCache::open(&dest_dir).unwrap();
+        assert_eq!(merge_into(&dest, &[&a, &b]).unwrap().records_ingested, 7);
+        drop(dest);
+        let read = |dir: &PathBuf| std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+        let expected = [read(&a), read(&b)[MAGIC.len()..].to_vec()].concat();
+        assert_eq!(read(&dest_dir), expected, "the sources' records, in merge order");
+        for dir in [a, b, dest_dir] {
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// A one-flow report payload written field by field (the codec's
+    /// layout), with `direct` as the destination's reception run as given.
+    fn hand_built_payload(direct: &[u32]) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        let mut put = |x: u32| bytes.extend_from_slice(&x.to_le_bytes());
+        put(9); // round
+        put(42); // seed, low half
+        put(0); // seed, high half
+        put(0); // counters
+        put(1); // flows
+        put(1); // destination
+        put(0); // sent
+        put(1); // observers
+        put(1); // the destination observes itself
+        put(direct.len() as u32);
+        direct.iter().for_each(|&seq| put(seq));
+        put(0); // after_coop
+        bytes
+    }
+
+    /// A journal record framing `payload` under `key` with a valid checksum.
+    fn framed(key: &str, payload: &[u8]) -> Vec<u8> {
+        let checksum = crate::key::fnv1a64_chain(crate::key::fnv1a64(key.as_bytes()), payload);
+        let mut record = Vec::new();
+        record.extend_from_slice(&(key.len() as u32).to_le_bytes());
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&checksum.to_le_bytes());
+        record.extend_from_slice(key.as_bytes());
+        record.extend_from_slice(payload);
+        record
+    }
+
+    #[test]
+    fn non_canonical_source_payloads_are_re_encoded_with_a_fresh_checksum() {
+        // An unsorted run with a repeat decodes to the set {0, 3, 7}, which
+        // encodes ascending and deduplicated.
+        let payload = hand_built_payload(&[7, 0, 7, 3]);
+        let canonical = hand_built_payload(&[0, 3, 7]);
+        let report = RoundReport::from_bytes(&payload).unwrap();
+        assert_eq!(report.to_bytes(), canonical, "the hand-built layout is the codec's");
+
+        let src = temp_dir("non-canonical-src");
+        std::fs::create_dir_all(&src).unwrap();
+        let k = key(0);
+        let source =
+            [&MAGIC[..], &framed(k.as_str(), &payload), &framed(key(1).as_str(), &canonical)];
+        std::fs::write(src.join(JOURNAL_FILE), source.concat()).unwrap();
+
+        let dest_dir = temp_dir("non-canonical-dest");
+        let dest = SweepCache::open(&dest_dir).unwrap();
+        let merged = merge_into(&dest, &[&src]).unwrap();
+        assert_eq!(merged.records_ingested, 2);
+        assert_eq!(merged.torn_bytes_dropped, 0);
+        drop(dest);
+        let written = std::fs::read(dest_dir.join(JOURNAL_FILE)).unwrap();
+        let expected =
+            [&MAGIC[..], &framed(k.as_str(), &canonical), &framed(key(1).as_str(), &canonical)];
+        assert_eq!(written, expected.concat(), "re-encoded canonically, checksummed afresh");
+        let reopened = SweepCache::open(&dest_dir).unwrap();
+        assert_eq!(reopened.get(&k), Some(report.clone()));
+        assert_eq!(reopened.stats().recovered_bytes, 0);
+        for dir in [src, dest_dir] {
             std::fs::remove_dir_all(&dir).ok();
         }
     }

@@ -51,7 +51,7 @@ use std::sync::Mutex;
 
 use vanet_stats::RoundReport;
 
-use crate::key::{fnv1a64, fnv1a64_chain, CacheKey};
+use crate::key::{fnv1a64, fnv1a64_chain, fnv1a64_each, CacheKey};
 
 /// The journal file kept inside a cache directory.
 pub(crate) const JOURNAL_FILE: &str = "rounds.journal";
@@ -311,40 +311,68 @@ impl fmt::Debug for SweepCache {
 
 /// Encodes one journal record: header, checksum, key, payload.
 fn encode_record(key: &str, report: &RoundReport) -> Vec<u8> {
+    frame_payload(key, &report.to_bytes())
+}
+
+/// Frames an encoded payload under `key`: header, checksum, key, payload.
+fn frame_payload(key: &str, payload: &[u8]) -> Vec<u8> {
     let key_bytes = key.as_bytes();
-    let payload = report.to_bytes();
-    let checksum = fnv1a64_chain(fnv1a64(key_bytes), &payload);
+    let checksum = fnv1a64_chain(fnv1a64(key_bytes), payload);
     let mut record = Vec::with_capacity(RECORD_HEADER_LEN + key_bytes.len() + payload.len());
     record.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
     record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     record.extend_from_slice(&checksum.to_le_bytes());
     record.extend_from_slice(key_bytes);
-    record.extend_from_slice(&payload);
+    record.extend_from_slice(payload);
     record
 }
 
 /// Replays the records of a journal image (everything after the magic),
-/// handing each decoded `(key, report, record_len)` to `record`. Returns
-/// the length of the prefix that parsed cleanly — anything beyond it is a
-/// torn or corrupt tail.
-pub(crate) fn replay(buf: &[u8], mut record: impl FnMut(&str, RoundReport, u64)) -> usize {
+/// handing each decoded `(key, report, record)` to `accept`, where
+/// `record` is the record's raw bytes, header included. Returns the length
+/// of the prefix that parsed cleanly — anything beyond it is a torn or
+/// corrupt tail.
+///
+/// Records are accepted in order up to the first one that is torn, fails
+/// its checksum, has a key that is not UTF-8 or a payload that does not
+/// decode — the prefix a record-by-record scan accepts. The checksums are
+/// all verified before the first decode (see [`verified_records`]).
+pub(crate) fn replay(buf: &[u8], mut accept: impl FnMut(&str, RoundReport, &[u8])) -> usize {
     let mut pos = MAGIC.len().min(buf.len());
-    loop {
-        if pos == buf.len() {
-            break pos;
-        }
-        let Some(record_end) = record_end(buf, pos) else { break pos };
-        let key_len = read_u32(buf, pos) as usize;
-        let key_bytes = &buf[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + key_len];
-        let payload = &buf[pos + RECORD_HEADER_LEN + key_len..record_end];
-        let (Ok(key), Ok(report)) =
-            (std::str::from_utf8(key_bytes), RoundReport::from_bytes(payload))
-        else {
-            break pos;
+    for _ in 0..verified_records(buf, pos) {
+        let frame = frame_record(buf, pos).expect("a verified record frames again");
+        let key_bytes = &buf[frame.start + RECORD_HEADER_LEN..frame.payload_start];
+        let (Ok(key), Ok(report)) = (
+            std::str::from_utf8(key_bytes),
+            RoundReport::from_bytes(&buf[frame.payload_start..frame.end]),
+        ) else {
+            break;
         };
-        record(key, report, (record_end - pos) as u64);
-        pos = record_end;
+        accept(key, report, &buf[frame.start..frame.end]);
+        pos = frame.end;
     }
+    pos
+}
+
+/// How many records from `pos` on pass their checksum, up to the first
+/// that is torn or does not.
+///
+/// Every record is framed from its header first (length bounds only), then
+/// all framed bodies are checksummed four at a time with
+/// [`sim_core::fnv1a64_each`]: a body, `key ‖ payload`, is contiguous and
+/// is exactly what the stored FNV-1a covers. The frames and checksums are
+/// freed on return, before [`replay`] decodes anything, so they never add
+/// to the memory of a replay that holds every decoded report.
+fn verified_records(buf: &[u8], mut pos: usize) -> usize {
+    let mut frames = Vec::new();
+    while let Some(frame) = frame_record(buf, pos) {
+        pos = frame.end;
+        frames.push(frame);
+    }
+    let bodies: Vec<&[u8]> =
+        frames.iter().map(|f| &buf[f.start + RECORD_HEADER_LEN..f.end]).collect();
+    let checksums = fnv1a64_each(&bodies);
+    frames.iter().zip(checksums).take_while(|(frame, sum)| frame.checksum == *sum).count()
 }
 
 impl SweepCache {
@@ -396,8 +424,8 @@ impl SweepCache {
         // (last-write-wins ingests) are benign: the last record wins, as it
         // was the last written.
         let mut index = BTreeMap::new();
-        let valid_len = replay(&buf, |key, report, record_len| {
-            index.insert(key.to_string(), IndexEntry { report, record_len });
+        let valid_len = replay(&buf, |key, report, record| {
+            index.insert(key.to_string(), IndexEntry { report, record_len: record.len() as u64 });
         });
         if valid_len < buf.len() {
             recovered_bytes += (buf.len() - valid_len) as u64;
@@ -455,8 +483,11 @@ impl SweepCache {
                 "not a vanet-cache journal (unrecognised header); refusing to touch it",
             ));
         } else {
-            let valid_len = replay(&buf, |key, report, record_len| {
-                index.insert(key.to_string(), IndexEntry { report, record_len });
+            let valid_len = replay(&buf, |key, report, record| {
+                index.insert(
+                    key.to_string(),
+                    IndexEntry { report, record_len: record.len() as u64 },
+                );
             });
             recovered_bytes = (buf.len() - valid_len) as u64;
         }
@@ -511,7 +542,8 @@ impl SweepCache {
         if inner.index.contains_key(key.as_str()) {
             return Ok(false);
         }
-        self.append_record(&mut inner, key.as_str(), report.clone())?;
+        let record = encode_record(key.as_str(), report);
+        self.append_record(&mut inner, key.as_str(), report.clone(), record)?;
         Ok(true)
     }
 
@@ -521,11 +553,19 @@ impl SweepCache {
     /// superseded (new record appended, index entry replaced; the old
     /// record becomes dead bytes a [`compact`] reclaims).
     ///
+    /// `source` is the verified journal record `report` was decoded from.
+    /// When the report re-encodes to exactly the source payload, the source
+    /// record is appended verbatim — its checksum already covers those
+    /// bytes, so it is not hashed again. Otherwise (a payload that decodes
+    /// but is not in canonical form) the re-encoded report is framed with a
+    /// fresh checksum.
+    ///
     /// [`compact`]: SweepCache::compact
     pub(crate) fn ingest(
         &self,
         key: &str,
         report: RoundReport,
+        source: &[u8],
     ) -> Result<IngestOutcome, CacheError> {
         let mut inner = self.inner.lock().expect("cache lock poisoned");
         let outcome = match inner.index.get(key) {
@@ -533,13 +573,21 @@ impl SweepCache {
             Some(_) => IngestOutcome::Superseded,
             None => IngestOutcome::Inserted,
         };
-        self.append_record(&mut inner, key, report)?;
+        let payload = report.to_bytes();
+        let record = if payload == source[RECORD_HEADER_LEN + key.len()..] {
+            // Free the re-encoding before copying, so the two never coexist.
+            drop(payload);
+            source.to_vec()
+        } else {
+            frame_payload(key, &payload)
+        };
+        self.append_record(&mut inner, key, report, record)?;
         Ok(outcome)
     }
 
-    /// The shared append path of [`put`] and [`ingest`]: encodes, writes in
-    /// one `write_all` (rolling back to the last good record on error), and
-    /// updates the index.
+    /// The shared append path of [`put`] and [`ingest`]: writes the encoded
+    /// `record` in one `write_all` (rolling back to the last good record on
+    /// error), and updates the index.
     ///
     /// [`put`]: SweepCache::put
     /// [`ingest`]: SweepCache::ingest
@@ -548,8 +596,8 @@ impl SweepCache {
         inner: &mut Inner,
         key: &str,
         report: RoundReport,
+        mut record: Vec<u8>,
     ) -> Result<(), CacheError> {
-        let mut record = encode_record(key, &report);
         let good = inner.file_bytes;
         let Some(file) = inner.file.as_mut() else {
             return Err(CacheError::new(&self.path, "opened read-only; cannot append"));
@@ -732,31 +780,41 @@ fn read_u64(buf: &[u8], pos: usize) -> u64 {
     u64::from_le_bytes(buf[pos..pos + 8].try_into().expect("8 bytes"))
 }
 
-/// Where the record starting at `pos` ends, or `None` if it is incomplete
-/// or fails its checksum (i.e. the journal is torn at `pos`).
-fn record_end(buf: &[u8], pos: usize) -> Option<usize> {
+/// Where one record sits in a journal image, read from its header alone.
+struct Frame {
+    /// Offset of the record header.
+    start: usize,
+    /// Offset of the payload (the key runs from the header's end to here).
+    payload_start: usize,
+    /// Offset one past the payload.
+    end: usize,
+    /// The checksum the header claims for `key ‖ payload`.
+    checksum: u64,
+}
+
+/// Frames the record starting at `pos` from its header, or `None` if the
+/// header or the body it announces runs past the end of `buf` (i.e. the
+/// journal is torn at `pos`). Checks length bounds only;
+/// [`verified_records`] verifies the checksum.
+fn frame_record(buf: &[u8], pos: usize) -> Option<Frame> {
     if buf.len() - pos < RECORD_HEADER_LEN {
         return None;
     }
     let key_len = read_u32(buf, pos) as usize;
     let payload_len = read_u32(buf, pos + 4) as usize;
     let checksum = read_u64(buf, pos + 8);
-    let body_start = pos + RECORD_HEADER_LEN;
-    let end = body_start.checked_add(key_len)?.checked_add(payload_len)?;
+    let payload_start = (pos + RECORD_HEADER_LEN).checked_add(key_len)?;
+    let end = payload_start.checked_add(payload_len)?;
     if end > buf.len() {
         return None;
     }
-    let key = &buf[body_start..body_start + key_len];
-    let payload = &buf[body_start + key_len..end];
-    if fnv1a64_chain(fnv1a64(key), payload) != checksum {
-        return None;
-    }
-    Some(end)
+    Some(Frame { start: pos, payload_start, end, checksum })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vanet_stats::RoundResult;
 
@@ -778,6 +836,11 @@ mod tests {
     fn report(i: u32) -> RoundReport {
         RoundReport::new(i, u64::from(i) * 31 + 7, RoundResult::default())
             .with_counter("value", f64::from(i) + 0.5)
+    }
+
+    /// The journal record `put` would write for `report(r)` under `key(k)`.
+    fn record(k: u32, r: u32) -> Vec<u8> {
+        encode_record(key(k).as_str(), &report(r))
     }
 
     #[test]
@@ -1060,7 +1123,7 @@ mod tests {
             cache.put(&key(i), &report(i)).unwrap();
         }
         // Supersede one entry (last-write-wins ingest) and forget another.
-        cache.ingest(key(1).as_str(), report(41)).unwrap();
+        cache.ingest(key(1).as_str(), report(41), &record(1, 41)).unwrap();
         assert!(cache.forget(&key(4)));
         let stats = cache.stats();
         assert_eq!(stats.entries, 5);
@@ -1091,14 +1154,175 @@ mod tests {
     fn ingest_distinguishes_insert_duplicate_and_supersede() {
         let dir = temp_dir("ingest");
         let cache = SweepCache::open(&dir).unwrap();
-        assert_eq!(cache.ingest(key(0).as_str(), report(0)).unwrap(), IngestOutcome::Inserted);
-        assert_eq!(cache.ingest(key(0).as_str(), report(0)).unwrap(), IngestOutcome::Duplicate);
-        assert_eq!(cache.ingest(key(0).as_str(), report(9)).unwrap(), IngestOutcome::Superseded);
+        let ingest = |r: u32| cache.ingest(key(0).as_str(), report(r), &record(0, r)).unwrap();
+        assert_eq!(ingest(0), IngestOutcome::Inserted);
+        assert_eq!(ingest(0), IngestOutcome::Duplicate);
+        assert_eq!(ingest(9), IngestOutcome::Superseded);
         assert_eq!(cache.get(&key(0)), Some(report(9)), "last write wins");
         drop(cache);
         // Replay preserves last-write-wins: the superseding record is later
         // in the journal.
         assert_eq!(SweepCache::open(&dir).unwrap().get(&key(0)), Some(report(9)));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The one-record-at-a-time scan the batched [`replay`] must agree with:
+    /// each record is bounds-checked and checksummed on its own before the
+    /// next is looked at. Returns the accepted `(key, report, record_len)`s
+    /// and the valid prefix length.
+    fn oracle_replay(buf: &[u8]) -> (Vec<(String, RoundReport, u64)>, usize) {
+        fn record_end(buf: &[u8], pos: usize) -> Option<usize> {
+            if buf.len() - pos < RECORD_HEADER_LEN {
+                return None;
+            }
+            let key_len = read_u32(buf, pos) as usize;
+            let payload_len = read_u32(buf, pos + 4) as usize;
+            let checksum = read_u64(buf, pos + 8);
+            let body_start = pos + RECORD_HEADER_LEN;
+            let end = body_start.checked_add(key_len)?.checked_add(payload_len)?;
+            if end > buf.len() {
+                return None;
+            }
+            let key = &buf[body_start..body_start + key_len];
+            let payload = &buf[body_start + key_len..end];
+            if fnv1a64_chain(fnv1a64(key), payload) != checksum {
+                return None;
+            }
+            Some(end)
+        }
+        let mut records = Vec::new();
+        let mut pos = MAGIC.len().min(buf.len());
+        while pos < buf.len() {
+            let Some(end) = record_end(buf, pos) else { break };
+            let key_len = read_u32(buf, pos) as usize;
+            let key_bytes = &buf[pos + RECORD_HEADER_LEN..pos + RECORD_HEADER_LEN + key_len];
+            let payload = &buf[pos + RECORD_HEADER_LEN + key_len..end];
+            let (Ok(key), Ok(report)) =
+                (std::str::from_utf8(key_bytes), RoundReport::from_bytes(payload))
+            else {
+                break;
+            };
+            records.push((key.to_string(), report, (end - pos) as u64));
+            pos = end;
+        }
+        (records, pos)
+    }
+
+    /// What a handle serves: every live key with its report, and the stats.
+    fn served(cache: &SweepCache) -> (Vec<(String, Option<RoundReport>)>, CacheStats) {
+        let entries = cache.keys().iter().map(|k| (k.as_str().to_string(), cache.get(k))).collect();
+        (entries, cache.stats())
+    }
+
+    /// Writes `image` as the journal in `dir` and checks that a writable and
+    /// a read-only open serve exactly what [`oracle_replay`] accepts, report
+    /// the same torn bytes, and (writable only) truncate at the same offset.
+    fn assert_opens_like_the_oracle(dir: &Path, image: &[u8], what: &str) {
+        let path = dir.join(JOURNAL_FILE);
+        let (records, valid_len) = oracle_replay(image);
+        let mut live = BTreeMap::new();
+        for (key, report, record_len) in records {
+            live.insert(key, (report, record_len));
+        }
+        let entries: Vec<_> =
+            live.iter().map(|(key, (report, _))| (key.clone(), Some(report.clone()))).collect();
+        let live_bytes = MAGIC.len() as u64 + live.values().map(|(_, len)| len).sum::<u64>();
+        let header_torn = image.len() < MAGIC.len();
+        let torn = if header_torn { image.len() } else { image.len() - valid_len } as u64;
+
+        std::fs::write(&path, image).unwrap();
+        let (ro_entries, ro_stats) = served(&SweepCache::open_read_only(dir).unwrap());
+        assert_eq!(ro_entries, entries, "read-only entries, {what}");
+        assert_eq!(ro_stats.recovered_bytes, torn, "{what}");
+        assert_eq!(ro_stats.file_bytes, image.len() as u64, "{what}");
+        if !header_torn {
+            assert_eq!(ro_stats.live_bytes, live_bytes, "read-only live bytes, {what}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), image, "read-only open wrote, {what}");
+
+        let (rw_entries, rw_stats) = served(&SweepCache::open(dir).unwrap());
+        assert_eq!(rw_entries, entries, "writable entries, {what}");
+        assert_eq!(rw_stats.recovered_bytes, torn, "{what}");
+        // A torn header is rewritten; a torn record is truncated away.
+        let kept = if header_torn { MAGIC.len() } else { valid_len };
+        assert_eq!(rw_stats.file_bytes, kept as u64, "{what}");
+        assert_eq!(rw_stats.live_bytes, live_bytes, "writable live bytes, {what}");
+        let on_disk = std::fs::read(&path).unwrap();
+        let expected = if header_torn { &MAGIC[..] } else { &image[..valid_len] };
+        assert_eq!(on_disk, expected, "truncated journal, {what}");
+    }
+
+    /// Records of unequal lengths: more than four, and not a multiple of
+    /// four, so the checksum kernel refills lanes and ends on a partial set.
+    fn uneven_journal() -> Vec<u8> {
+        let mut image = MAGIC.to_vec();
+        for i in 0..10u32 {
+            // The eighth record reuses the fourth's key and supersedes it.
+            let n = if i == 7 { 3 } else { i };
+            let config = format!("scenario=fake;x={}", "i".repeat(n as usize * 3));
+            let key = CacheKey::new("fake", 0xF1, &config, n, u64::from(n));
+            image.extend_from_slice(&encode_record(key.as_str(), &report(i * 11)));
+        }
+        image
+    }
+
+    #[test]
+    fn replay_cuts_every_torn_or_corrupt_journal_where_a_record_scan_does() {
+        let dir = temp_dir("every-offset");
+        std::fs::create_dir_all(&dir).unwrap();
+        let image = uneven_journal();
+        let (records, valid_len) = oracle_replay(&image);
+        assert_eq!(
+            (records.len(), valid_len),
+            (10, image.len()),
+            "the clean journal replays whole"
+        );
+        let lens: BTreeSet<u64> = records.iter().map(|r| r.2).collect();
+        assert!(lens.len() >= 9, "record lengths vary: {lens:?}");
+
+        for cut in 0..=image.len() {
+            assert_opens_like_the_oracle(&dir, &image[..cut], &format!("cut at {cut}"));
+        }
+        for at in 0..image.len() {
+            let mut flipped = image.clone();
+            flipped[at] ^= 0x01;
+            let what = format!("bit flipped at {at}");
+            if at < MAGIC.len() {
+                std::fs::write(dir.join(JOURNAL_FILE), &flipped).unwrap();
+                assert!(SweepCache::open_read_only(&dir).is_err(), "{what}");
+                assert!(SweepCache::open(&dir).is_err(), "{what}");
+            } else {
+                assert_opens_like_the_oracle(&dir, &flipped, &what);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_stops_at_checksummed_records_that_do_not_decode() {
+        let dir = temp_dir("undecodable");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut image = uneven_journal();
+        let clean = image.len();
+        // A key that is not UTF-8 and a payload that is not a report, each
+        // under a valid checksum, then one more good record.
+        let bad_key = [0xFF, 0xFE, b'k'];
+        let payload = report(5).to_bytes();
+        let mut record = Vec::new();
+        record.extend_from_slice(&(bad_key.len() as u32).to_le_bytes());
+        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        record.extend_from_slice(&fnv1a64_chain(fnv1a64(&bad_key), &payload).to_le_bytes());
+        record.extend_from_slice(&bad_key);
+        record.extend_from_slice(&payload);
+        let good = encode_record(key(40).as_str(), &report(40));
+        let undecodable = frame_payload(key(41).as_str(), &[1, 2, 3]);
+        for tail in [&record, &undecodable] {
+            image.truncate(clean);
+            image.extend_from_slice(tail);
+            image.extend_from_slice(&good);
+            assert_eq!(oracle_replay(&image).1, clean);
+            assert_opens_like_the_oracle(&dir, &image, "a checksummed but undecodable record");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -31,4 +31,7 @@ pub use inject::{
     arm, before_append, is_armed, progress, round_done, round_start, AppendAction, StoreKind,
     CHAOS_EXIT,
 };
-pub use plan::{splitmix64, FaultKind, FaultPlan, FaultSpec, FAULT_MAGIC, STALL_MS};
+pub use plan::{FaultKind, FaultPlan, FaultSpec, FAULT_MAGIC, STALL_MS};
+/// The splitmix64 step the fault plans and the fleet supervisor's backoff
+/// jitter draw from, so both are pure functions of their seeds.
+pub use sim_core::splitmix64;

@@ -9,6 +9,8 @@
 
 use std::fmt;
 
+use sim_core::splitmix64;
+
 /// Magic first line of a fault-plan file.
 pub const FAULT_MAGIC: &str = "VANETFLT1";
 
@@ -122,17 +124,6 @@ pub struct FaultPlan {
     pub workers: u32,
     /// The faults, in generation order.
     pub faults: Vec<FaultSpec>,
-}
-
-/// The splitmix64 step — the same tiny generator the fault plan and the
-/// supervisor's backoff jitter share, so both are pure functions of their
-/// seeds.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl FaultPlan {
