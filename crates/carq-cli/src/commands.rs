@@ -3,7 +3,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use vanet_cache::SweepCache;
+use vanet_analysis::DigestCodec;
+use vanet_cache::{RecordCodec, RoundReportCodec, SweepCache};
 use vanet_fleet::{Shard, ShardPlan};
 use vanet_scenarios::{
     run_point, Param, ParamKind, ParamValue, Scenario, ScenarioRegistry, SweepPoint, UrbanScenario,
@@ -98,9 +99,10 @@ USAGE:
       e.g. shipped from other machines) into DIR. Records are
       checksum-validated on ingest, duplicates are skipped, conflicting
       keys resolve last-write-wins, and torn shard tails are dropped. A
-      warm sweep over the merged cache simulates nothing. --all also
-      merges the sources' analysis journals (digests from
-      `analyze --cache`), with its own per-journal report.
+      warm sweep over the merged cache simulates nothing; the sources
+      are only read. --all also merges the sources' analysis journals
+      (digests from `analyze --cache`), with its own report, and accepts
+      sources that hold only one of the two journals.
 
   carq-cli fleet run --preset NAME --workers N [--rounds N] [COMMON]
       [--round-chunk K] [RESILIENCE]
@@ -707,46 +709,59 @@ fn fleet_merge(opts: &Options) -> Result<(), String> {
     };
     let sources: Vec<PathBuf> =
         crate::cli::split_list(from)?.into_iter().map(PathBuf::from).collect();
+    let all = opts.has_switch("all");
+    // With --all a source may hold either journal kind — a shard that only
+    // ran `analyze --cache` has digests but no round reports — so each
+    // merge skips the sources that lack its kind, and only a source that
+    // holds neither is an error. Without --all every source must be a
+    // round journal, as always.
+    let mut round_sources = Vec::new();
+    for source in &sources {
+        let rounds = !source.is_dir() || source.join(RoundReportCodec::FILE_NAME).exists();
+        if rounds || !all {
+            round_sources.push(source.as_path());
+        } else if !source.join(DigestCodec::FILE_NAME).exists() {
+            return Err(format!(
+                "{}: holds neither a round journal nor an analysis journal",
+                source.display()
+            ));
+        }
+    }
     let cache = SweepCache::open(dest).map_err(|e| e.to_string())?;
-    let report = vanet_cache::merge_into(&cache, &sources).map_err(|e| e.to_string())?;
-    print_merge_report(&report);
+    let report = vanet_cache::merge_into(&cache, &round_sources).map_err(|e| e.to_string())?;
+    print_merge_report("", &report);
     let stats = cache.stats();
     println!(
         "merged cache: {} round report(s), {} byte(s) in {dest}",
         stats.entries, stats.file_bytes
     );
-    if opts.has_switch("all") {
+    if all {
         // Also union the analysis journals the sources carry (shards that
         // ran `analyze --cache` leave digests next to their round
         // reports); sources without one are skipped, not errors.
         let report = vanet_fleet::merge_analysis(dest, &sources).map_err(|e| e.to_string())?;
-        println!(
-            "merge: analysis: {} journal(s): {} digest(s) ingested, {} duplicate(s) skipped, \
-             {} superseded",
-            report.sources,
-            report.records_ingested,
-            report.records_duplicate,
-            report.records_superseded,
-        );
+        print_merge_report("analysis: ", &report);
     }
     Ok(())
 }
 
-fn print_merge_report(report: &vanet_cache::MergeReport) {
+/// Prints one merge's dispositions; `label` names the journal kind for
+/// every kind but the round journal.
+fn print_merge_report(label: &str, report: &vanet_cache::MergeReport) {
     println!(
-        "merge: {} source(s): {} record(s) ingested, {} duplicate(s) skipped",
+        "merge: {label}{} source(s): {} record(s) ingested, {} duplicate(s) skipped",
         report.sources, report.records_ingested, report.records_duplicate,
     );
     if report.records_superseded > 0 {
         println!(
-            "merge: {} conflicting record(s) superseded (last write wins) — the sources \
+            "merge: {label}{} conflicting record(s) superseded (last write wins) — the sources \
              disagree; were they produced by different code versions?",
             report.records_superseded,
         );
     }
     if report.torn_bytes_dropped > 0 {
         println!(
-            "merge: dropped {} torn trailing byte(s) from source journal(s)",
+            "merge: {label}dropped {} torn trailing byte(s) from source journal(s)",
             report.torn_bytes_dropped,
         );
     }
@@ -1135,6 +1150,41 @@ mod tests {
         // Compacting an empty cache reclaims nothing but succeeds.
         assert!(dispatch(&strs(&["cache", "compact", "--cache", &dir_str])).is_ok());
         assert!(dispatch(&strs(&["cache", "stats", "--cache", &dir_str])).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fleet_merge_all_takes_shards_that_hold_only_digests() {
+        let dir = std::env::temp_dir()
+            .join(format!("carq-cli-fleet-merge-all-test-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let (shard, empty, dest) = (dir.join("shard"), dir.join("empty"), dir.join("dest"));
+        std::fs::create_dir_all(&empty).unwrap();
+        let key = vanet_cache::CacheKey::new("urban", 1, "scenario=urban", 0, 7);
+        let digest = vanet_analysis::RoundDigest { round: 0, seed: 7, ..Default::default() };
+        let mut store = vanet_analysis::AnalysisStore::open(&shard).unwrap();
+        store.put(&key, &digest).unwrap();
+        drop(store);
+        let path = |p: &std::path::Path| p.display().to_string();
+        let merge = |from: &str, all: bool| {
+            let mut args = vec!["--cache".to_string(), path(&dest), "--from".to_string()];
+            args.push(from.to_string());
+            if all {
+                args.push("--all".to_string());
+            }
+            fleet_merge(&Options::parse_with_switches(&args, &["all"]).unwrap())
+        };
+        // Without --all a digest-only shard is still not a round journal...
+        let err = merge(&path(&shard), false).unwrap_err();
+        assert!(err.contains("read the shard journal"), "{err}");
+        // ...with --all its digests merge and the missing kind is skipped...
+        merge(&path(&shard), true).unwrap();
+        let merged = vanet_analysis::AnalysisStore::open(&dest).unwrap();
+        assert_eq!(merged.get(&key), Some(digest));
+        drop(merged);
+        // ...and a source holding neither journal is an error either way.
+        let err = merge(&format!("{},{}", path(&shard), path(&empty)), true).unwrap_err();
+        assert!(err.contains("holds neither"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,7 +17,8 @@
 //!   two runs plus per-record-kind count deltas;
 //! * [`digest`] — the per-round [`RoundDigest`] the tables are built from,
 //!   with a stable binary codec;
-//! * [`store`] — the [`AnalysisStore`] digest journal (`CARQANA1`):
+//! * [`store`] — the [`AnalysisStore`] digest journal: the shared
+//!   [`vanet_cache::Journal`] with the `CARQANA1` [`DigestCodec`], so
 //!   analysing an already-analysed plan re-simulates nothing;
 //! * [`engine`] — the [`AnalysisEngine`] parallel executor, which walks the
 //!   *same* validated, content-addressed [`vanet_sweep::plan`] a sweep
@@ -54,7 +55,7 @@ pub use digest::RoundDigest;
 pub use engine::{AnalysisEngine, AnalysisError, AnalysisResult};
 pub use latency::{recovery_latency, LatencyAnalyzer, LatencyReport};
 pub use occupancy::{medium_occupancy, OccupancyAnalyzer, OccupancyReport};
-pub use store::{AnalysisMergeReport, AnalysisStore, StoreError, ANALYSIS_MAGIC};
+pub use store::{AnalysisStore, DigestCodec};
 pub use timeline::{node_timeline, render_timeline, TimelineEntry};
 
 use vanet_trace::{RingSink, TraceRecord};

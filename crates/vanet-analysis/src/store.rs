@@ -1,105 +1,47 @@
-//! The persistent analysis journal: an append-only store of per-round
-//! [`RoundDigest`]s keyed by the *same* content-addressed [`CacheKey`]s the
-//! round cache uses.
+//! The persistent analysis journal: per-round [`RoundDigest`]s keyed by
+//! the *same* content-addressed [`CacheKey`]s the round cache uses.
 //!
-//! The round cache's journal cannot hold digests — its replay decodes every
-//! payload as a `RoundReport` and treats the first undecodable record as a
-//! torn tail — so analysis digests get their own `analysis.journal`
-//! (`CARQANA1` magic) beside it, with the same robustness contract:
-//! append-only writes, checksummed records, and a torn tail (from a killed
-//! process) truncated on the next open instead of poisoning the file.
-//! Single-writer: concurrent writers are not coordinated (the CLI drives
-//! one analysis at a time); concurrent *readers* of a finished journal are
-//! fine.
+//! It is the shared [`vanet_cache::Journal`] with a second codec,
+//! [`DigestCodec`] (`CARQANA1` magic, `analysis.journal`), so it has the
+//! round cache's robustness contract exactly: checksummed append-only
+//! records, a torn header rewritten and a torn tail (from a killed process)
+//! truncated on the next open, a failed write rolled back, the fault seam,
+//! and the same merge ([`vanet_cache::Journal::merge`]). The two files
+//! coexist in one `--cache` directory. Single-writer: concurrent writers
+//! are not coordinated (the CLI drives one analysis at a time); concurrent
+//! *readers* of a finished journal are fine.
 
-use std::collections::BTreeMap;
-use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use sim_core::{fnv1a64, fnv1a64_chain};
-use vanet_cache::CacheKey;
+use vanet_cache::{CacheError, CacheKey, IngestOutcome, Journal, RecordCodec};
 
 use crate::digest::RoundDigest;
 
-/// The journal file's magic header.
-pub const ANALYSIS_MAGIC: &[u8; 8] = b"CARQANA1";
-
-/// The journal file name inside a store directory.
-const JOURNAL_NAME: &str = "analysis.journal";
-
-/// Why the store failed.
+/// The `CARQANA1` codec: one [`RoundDigest`] per cache key, in the digest
+/// encoding, in `analysis.journal`.
 #[derive(Debug)]
-pub struct StoreError {
-    /// The journal path involved.
-    pub path: PathBuf,
-    /// The rendered cause.
-    pub message: String,
-}
+pub struct DigestCodec;
 
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "analysis journal {}: {}", self.path.display(), self.message)
-    }
-}
+impl RecordCodec for DigestCodec {
+    type Value = RoundDigest;
+    const MAGIC: &'static [u8] = b"CARQANA1";
+    const FILE_NAME: &'static str = "analysis.journal";
 
-impl std::error::Error for StoreError {}
-
-/// What a digest merge did, per record disposition — the `CARQANA1`
-/// counterpart of `vanet_cache::MergeReport`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AnalysisMergeReport {
-    /// Source journals that contributed.
-    pub sources: usize,
-    /// Digests appended under keys the destination did not hold.
-    pub records_ingested: usize,
-    /// Digests skipped because the destination already held an identical
-    /// one.
-    pub records_duplicate: usize,
-    /// Digests that replaced a differing one under the same key (last
-    /// write wins — non-zero means the sources disagree).
-    pub records_superseded: usize,
-}
-
-impl AnalysisMergeReport {
-    /// Total records accepted into the destination (ingested + superseding).
-    pub fn records_written(&self) -> usize {
-        self.records_ingested + self.records_superseded
+    fn encode(digest: &RoundDigest) -> Vec<u8> {
+        digest.to_bytes()
     }
 
-    /// Folds another report (e.g. one more source journal) into this one.
-    pub fn absorb(&mut self, other: &AnalysisMergeReport) {
-        self.sources += other.sources;
-        self.records_ingested += other.records_ingested;
-        self.records_duplicate += other.records_duplicate;
-        self.records_superseded += other.records_superseded;
+    fn decode(payload: &[u8]) -> Option<RoundDigest> {
+        RoundDigest::from_bytes(payload)
     }
-}
-
-/// The checksum of one journal record: FNV-1a over key bytes then payload.
-fn record_checksum(key: &[u8], payload: &[u8]) -> u64 {
-    fnv1a64_chain(fnv1a64(key), payload)
 }
 
 /// The persistent digest store. Open it on a directory (shared with or
 /// separate from a round cache — the file names never collide), `get` by
 /// cache key, `put` fresh digests; entries survive process restarts.
+#[derive(Debug)]
 pub struct AnalysisStore {
-    path: PathBuf,
-    file: File,
-    index: BTreeMap<String, RoundDigest>,
-    recovered_bytes: u64,
-}
-
-impl fmt::Debug for AnalysisStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("AnalysisStore")
-            .field("path", &self.path)
-            .field("entries", &self.index.len())
-            .field("recovered_bytes", &self.recovered_bytes)
-            .finish()
-    }
+    journal: Journal<DigestCodec>,
 }
 
 impl AnalysisStore {
@@ -107,168 +49,56 @@ impl AnalysisStore {
     /// replaying its records into memory. A torn tail — an incomplete
     /// record from a killed writer, a checksum mismatch or an undecodable
     /// digest — is truncated away, keeping every record before it.
-    pub fn open(dir: impl AsRef<Path>) -> Result<Self, StoreError> {
-        let dir = dir.as_ref();
-        let path = dir.join(JOURNAL_NAME);
-        let fail = |message: String| StoreError { path: path.clone(), message };
-        std::fs::create_dir_all(dir)
-            .map_err(|e| fail(format!("cannot create {}: {e}", dir.display())))?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| fail(format!("cannot open: {e}")))?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes).map_err(|e| fail(format!("cannot read: {e}")))?;
-
-        if bytes.is_empty() {
-            file.write_all(ANALYSIS_MAGIC).map_err(|e| fail(format!("cannot write: {e}")))?;
-            return Ok(AnalysisStore { path, file, index: BTreeMap::new(), recovered_bytes: 0 });
-        }
-        if bytes.len() < ANALYSIS_MAGIC.len() || &bytes[..ANALYSIS_MAGIC.len()] != ANALYSIS_MAGIC {
-            return Err(fail("bad magic (not an analysis journal)".into()));
-        }
-
-        // Replay: every record that parses and checksums is live (last
-        // write wins); the first one that does not marks the torn tail.
-        let mut index = BTreeMap::new();
-        let mut pos = ANALYSIS_MAGIC.len();
-        let good_end = loop {
-            if pos == bytes.len() {
-                break pos;
-            }
-            let Some((key, digest, next)) = read_record(&bytes, pos) else { break pos };
-            index.insert(key, digest);
-            pos = next;
-        };
-        let recovered_bytes = (bytes.len() - good_end) as u64;
-        if recovered_bytes > 0 {
-            // Append mode ignores seeks on write, so truncate via set_len.
-            file.set_len(good_end as u64).map_err(|e| fail(format!("cannot truncate: {e}")))?;
-            file.seek(SeekFrom::End(0)).map_err(|e| fail(format!("cannot seek: {e}")))?;
-        }
-        Ok(AnalysisStore { path, file, index, recovered_bytes })
+    ///
+    /// # Errors
+    ///
+    /// I/O failures, and a file that is not a `CARQANA1` journal.
+    pub fn open(dir: impl AsRef<Path>) -> Result<Self, CacheError> {
+        Ok(AnalysisStore { journal: Journal::open(dir)? })
     }
 
     /// The journal file path.
     pub fn journal_path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
-    /// Bytes dropped from a torn tail at open time.
+    /// Bytes dropped from a torn header or tail at open time.
     pub fn recovered_bytes(&self) -> u64 {
-        self.recovered_bytes
+        self.journal.recovered_bytes()
     }
 
     /// Number of stored digests.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.journal.len()
     }
 
     /// Whether the store holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// The stored keys, sorted.
-    pub fn keys(&self) -> Vec<String> {
-        self.index.keys().cloned().collect()
+        self.journal.is_empty()
     }
 
     /// Looks up the digest stored under `key`.
     pub fn get(&self, key: &CacheKey) -> Option<RoundDigest> {
-        self.index.get(key.as_str()).cloned()
+        self.journal.get(key.as_str()).cloned()
     }
 
     /// Stores `digest` under `key`, appending to the journal. Returns
     /// `false` when an identical digest was already stored (nothing is
     /// written); a *different* digest under an existing key is appended and
     /// supersedes (last write wins — the analysis code changed).
-    pub fn put(&mut self, key: &CacheKey, digest: &RoundDigest) -> Result<bool, StoreError> {
-        if self.index.get(key.as_str()) == Some(digest) {
-            return Ok(false);
-        }
-        let key_bytes = key.as_str().as_bytes();
-        let payload = digest.to_bytes();
-        let mut record = Vec::with_capacity(16 + key_bytes.len() + payload.len());
-        record.extend_from_slice(&(key_bytes.len() as u32).to_le_bytes());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&record_checksum(key_bytes, &payload).to_le_bytes());
-        record.extend_from_slice(key_bytes);
-        record.extend_from_slice(&payload);
-        // The injectable write seam (see `vanet-faults`): an armed chaos
-        // schedule may corrupt, delay, fail or tear this append; disarmed
-        // it is a single atomic load.
-        match vanet_faults::before_append(vanet_faults::StoreKind::Analysis, &mut record) {
-            Ok(vanet_faults::AppendAction::Write) => {}
-            Ok(vanet_faults::AppendAction::TornWriteThenDie { keep }) => {
-                let _ = self.file.write_all(&record[..keep]);
-                let _ = self.file.sync_all();
-                eprintln!("fault: torn analysis append — exiting mid-record");
-                std::process::exit(vanet_faults::CHAOS_EXIT);
-            }
-            Err(e) => {
-                return Err(StoreError {
-                    path: self.path.clone(),
-                    message: format!("cannot append: {e}"),
-                })
-            }
-        }
-        self.file.write_all(&record).map_err(|e| StoreError {
-            path: self.path.clone(),
-            message: format!("cannot append: {e}"),
-        })?;
-        self.index.insert(key.as_str().to_string(), digest.clone());
-        Ok(true)
+    ///
+    /// # Errors
+    ///
+    /// I/O failures while appending.
+    pub fn put(&mut self, key: &CacheKey, digest: &RoundDigest) -> Result<bool, CacheError> {
+        Ok(self.journal.put(key.as_str(), digest)? != IngestOutcome::Duplicate)
     }
-
-    /// Ingests every digest of `source` this store does not already hold
-    /// (identical duplicates are skipped, conflicts resolve to the
-    /// source — last write wins, as in the journal itself). Returns a
-    /// per-disposition report with `sources == 1`.
-    pub fn merge_from(
-        &mut self,
-        source: &AnalysisStore,
-    ) -> Result<AnalysisMergeReport, StoreError> {
-        let mut report = AnalysisMergeReport { sources: 1, ..Default::default() };
-        for (key_str, digest) in &source.index {
-            let key = CacheKey::parse(key_str).ok_or_else(|| StoreError {
-                path: source.path.clone(),
-                message: format!("unparseable key `{key_str}`"),
-            })?;
-            match self.index.get(key_str) {
-                None => report.records_ingested += 1,
-                Some(held) if held == digest => report.records_duplicate += 1,
-                Some(_) => report.records_superseded += 1,
-            }
-            self.put(&key, digest)?;
-        }
-        Ok(report)
-    }
-}
-
-/// Parses one journal record at `pos`; `None` when the bytes there are
-/// truncated or corrupt (the torn-tail marker).
-fn read_record(bytes: &[u8], pos: usize) -> Option<(String, RoundDigest, usize)> {
-    let header = bytes.get(pos..pos + 16)?;
-    let key_len = u32::from_le_bytes(header[0..4].try_into().ok()?) as usize;
-    let payload_len = u32::from_le_bytes(header[4..8].try_into().ok()?) as usize;
-    let checksum = u64::from_le_bytes(header[8..16].try_into().ok()?);
-    let key_start = pos + 16;
-    let key = bytes.get(key_start..key_start + key_len)?;
-    let payload = bytes.get(key_start + key_len..key_start + key_len + payload_len)?;
-    if record_checksum(key, payload) != checksum {
-        return None;
-    }
-    let key = std::str::from_utf8(key).ok()?.to_string();
-    let digest = RoundDigest::from_bytes(payload)?;
-    Some((key, digest, key_start + key_len + payload_len))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn temp_dir(tag: &str) -> PathBuf {
@@ -325,7 +155,6 @@ mod tests {
         assert_eq!(reopened.len(), 2);
         assert_eq!(reopened.get(&key(1)), Some(digest(1)));
         assert_eq!(reopened.recovered_bytes(), 0);
-        assert_eq!(reopened.keys().len(), 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -347,133 +176,12 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_not_fatal() {
-        let dir = temp_dir("torn");
-        let mut store = AnalysisStore::open(&dir).unwrap();
-        store.put(&key(0), &digest(0)).unwrap();
-        store.put(&key(1), &digest(1)).unwrap();
-        drop(store);
-        let path = dir.join(JOURNAL_NAME);
-        // Kill mid-write: append half a record.
-        let full = std::fs::read(&path).unwrap();
-        let mut torn = full.clone();
-        torn.extend_from_slice(&[7, 0, 0, 0, 9]);
-        std::fs::write(&path, &torn).unwrap();
-
-        let mut store = AnalysisStore::open(&dir).unwrap();
-        assert_eq!(store.recovered_bytes(), 5);
-        assert_eq!(store.len(), 2, "records before the tear survive");
-        // The journal is writable again and the file was actually truncated.
-        assert!(store.put(&key(2), &digest(2)).unwrap());
-        drop(store);
-        let store = AnalysisStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.recovered_bytes(), 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn corrupt_checksum_marks_the_tail() {
-        let dir = temp_dir("checksum");
-        let mut store = AnalysisStore::open(&dir).unwrap();
-        store.put(&key(0), &digest(0)).unwrap();
-        store.put(&key(1), &digest(1)).unwrap();
-        drop(store);
-        let path = dir.join(JOURNAL_NAME);
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one byte in the *second* record's payload region.
-        let len = bytes.len();
-        bytes[len - 3] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let store = AnalysisStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 1, "the corrupt record and everything after it drop");
-        assert!(store.recovered_bytes() > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn foreign_files_are_rejected() {
         let dir = temp_dir("foreign");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join(JOURNAL_NAME), b"NOTANANALYSISJOURNAL").unwrap();
+        std::fs::write(dir.join(DigestCodec::FILE_NAME), b"NOTANANALYSISJOURNAL").unwrap();
         let err = AnalysisStore::open(&dir).unwrap_err();
-        assert!(err.to_string().contains("bad magic"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_ingests_only_missing_records() {
-        let (dir_a, dir_b) = (temp_dir("merge-a"), temp_dir("merge-b"));
-        let mut a = AnalysisStore::open(&dir_a).unwrap();
-        let mut b = AnalysisStore::open(&dir_b).unwrap();
-        a.put(&key(0), &digest(0)).unwrap();
-        b.put(&key(0), &digest(0)).unwrap();
-        b.put(&key(1), &digest(1)).unwrap();
-        let merged = a.merge_from(&b).unwrap();
-        assert_eq!(merged.records_ingested, 1, "only the missing digest ingests");
-        assert_eq!(merged.records_duplicate, 1);
-        assert_eq!(merged.records_superseded, 0);
-        assert_eq!(a.len(), 2);
-        let again = a.merge_from(&b).unwrap();
-        assert_eq!(again.records_ingested, 0, "idempotent");
-        assert_eq!(again.records_duplicate, 2);
-        assert_eq!(again.records_written(), 0);
-        std::fs::remove_dir_all(&dir_a).ok();
-        std::fs::remove_dir_all(&dir_b).ok();
-    }
-
-    /// Property test: kill the writer at ANY byte offset (simulated by
-    /// truncating the journal there) and the next open must keep exactly
-    /// the records whose bytes are fully on disk, report the torn tail's
-    /// length, truncate it, and leave the journal appendable — the
-    /// `CARQANA1` mirror of the sweep-journal torn-tail test.
-    #[test]
-    fn kill_at_random_byte_offset_truncates_exactly_the_torn_tail() {
-        let dir = temp_dir("kill-offset");
-        // Record the journal length after the header and after every put:
-        // each is a valid record boundary a crash could land between.
-        let mut boundaries = Vec::new();
-        let mut store = AnalysisStore::open(&dir).unwrap();
-        let path = dir.join(JOURNAL_NAME);
-        boundaries.push(std::fs::metadata(&path).unwrap().len());
-        for i in 0..6 {
-            store.put(&key(i), &digest(i)).unwrap();
-            boundaries.push(std::fs::metadata(&path).unwrap().len());
-        }
-        drop(store);
-        let pristine = std::fs::read(&path).unwrap();
-        let header_len = boundaries[0];
-        let full_len = *boundaries.last().unwrap();
-        assert_eq!(full_len, pristine.len() as u64);
-
-        let mut rng = 0x1CDC_2008_u64;
-        for case in 0..64 {
-            // A seeded "random" offset anywhere past the header, plus the
-            // exact-boundary edge cases on the first iterations.
-            let offset = if (case as usize) < boundaries.len() {
-                boundaries[case as usize]
-            } else {
-                header_len + vanet_faults::splitmix64(&mut rng) % (full_len - header_len + 1)
-            };
-            std::fs::write(&path, &pristine[..offset as usize]).unwrap();
-
-            let survivors = boundaries.iter().filter(|b| **b <= offset).count() - 1;
-            let tail = offset - boundaries[survivors];
-            let mut store = AnalysisStore::open(&dir)
-                .unwrap_or_else(|e| panic!("offset {offset}: open failed: {e}"));
-            assert_eq!(store.len(), survivors, "offset {offset}");
-            assert_eq!(store.recovered_bytes(), tail, "offset {offset}");
-            for i in 0..survivors as u32 {
-                assert_eq!(store.get(&key(i)), Some(digest(i)), "offset {offset}");
-            }
-            // The tail was really truncated and the journal is writable.
-            assert_eq!(std::fs::metadata(&path).unwrap().len(), boundaries[survivors]);
-            assert!(store.put(&key(99), &digest(99)).unwrap());
-            drop(store);
-            let reopened = AnalysisStore::open(&dir).unwrap();
-            assert_eq!(reopened.len(), survivors + 1, "offset {offset}");
-            assert_eq!(reopened.recovered_bytes(), 0, "offset {offset}");
-        }
+        assert!(err.to_string().contains("not a CARQANA1 journal"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,11 +2,6 @@
 
 use std::fmt;
 
-// The journal's record checksum: FNV-1a, the workspace's one specified hash
-// (shared via `sim-core` so durable-format implementations cannot drift).
-// It guards against torn writes and bit rot, not adversaries.
-pub(crate) use sim_core::{fnv1a64, fnv1a64_chain, fnv1a64_each};
-
 /// The content address of one round's report:
 /// `(scenario, schema fingerprint, canonical configuration, round, round seed)`.
 ///
@@ -126,6 +121,7 @@ mod tests {
 
     #[test]
     fn fnv_is_stable() {
+        use sim_core::fnv1a64;
         // Pinned: this value is written into journals on disk.
         assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);

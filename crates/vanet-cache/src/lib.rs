@@ -13,21 +13,28 @@
 //!   resolved, values rendered losslessly, round-neutral parameters (round
 //!   budgets, file sizes) excluded — so a widened grid, an extended
 //!   `--rounds`, or a reordered spec addresses the same entries.
-//! * [`SweepCache`] — a shared handle over an append-only journal file.
-//!   Lookups hit an in-memory index loaded at open; writes append a
-//!   checksummed record. Opening a journal whose tail was torn by a kill
-//!   mid-write drops (and truncates away) the torn record and keeps
+//! * [`Journal`] — the one durable store format: an append-only file of
+//!   checksummed `key → value` records and an in-memory last-write-wins
+//!   index, generic over a [`RecordCodec`] that fixes the magic, the file
+//!   name and the value encoding. Opening a journal whose tail was torn by
+//!   a kill mid-write drops (and truncates away) the torn record and keeps
 //!   everything before it — an interrupted sweep resumes instead of
-//!   restarting. A writable open takes an advisory lockfile so a second
-//!   concurrent writer *process* on the same directory fails fast instead
-//!   of interleaving appends; [`SweepCache::open_read_only`] stays
-//!   lock-free. [`SweepCache::compact`] rewrites the journal from the live
-//!   index, reclaiming superseded and forgotten records.
+//!   restarting. Two codecs exist: [`RoundReportCodec`] (`VANETCACHE1`,
+//!   below) and `vanet-analysis`'s digest codec (`CARQANA1`), so both
+//!   stores share one replay, one fault seam, one merge and one compaction.
+//! * [`SweepCache`] — a shared handle over a `VANETCACHE1` journal.
+//!   Lookups hit the in-memory index; writes append a record. A writable
+//!   open takes an advisory lockfile so a second concurrent writer
+//!   *process* on the same directory fails fast instead of interleaving
+//!   appends; [`SweepCache::open_read_only`] stays lock-free.
+//!   [`SweepCache::compact`] rewrites the journal from the live index,
+//!   reclaiming superseded and forgotten records.
 //! * [`merge_into`] — unions any set of shard journals (produced by
 //!   `vanet-fleet` workers, possibly on other machines) into one store:
 //!   records re-validated on ingest, duplicates skipped, conflicts
-//!   last-write-wins, torn shard tails dropped — summarised in a
-//!   [`MergeReport`].
+//!   last-write-wins, torn shard tails dropped and the sources left as
+//!   found — summarised in a [`MergeReport`]. [`Journal::merge`] is the
+//!   same merge for any codec.
 //! * [`clear`] — removes a directory's journal, reporting the bytes freed.
 //!
 //! The sweep engine in `vanet-sweep` threads a `SweepCache` through its
@@ -64,10 +71,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod journal;
 pub mod key;
 pub mod merge;
 pub mod store;
 
+pub use journal::{IngestOutcome, Journal, RecordCodec};
 pub use key::CacheKey;
 pub use merge::{merge_into, MergeReport};
-pub use store::{clear, CacheError, CacheStats, SweepCache};
+pub use store::{clear, CacheError, CacheStats, RoundReportCodec, SweepCache};

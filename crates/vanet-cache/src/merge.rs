@@ -2,25 +2,28 @@
 //! on open" half of distributed sweeps.
 //!
 //! A fleet of worker processes (or machines) each fills its own shard
-//! journal; [`merge_into`] folds any set of those journals into a
-//! destination cache. Records are validated exactly like an open replays
-//! them — checksummed, UTF-8 keys, decodable payloads — so a journal that
-//! was torn mid-write on the worker (or corrupted in transit) contributes
-//! its clean prefix and reports the dropped tail instead of poisoning the
-//! destination. A verified record whose report re-encodes to its payload
-//! byte for byte is appended verbatim; one that decodes but is not in the
-//! codec's canonical form is re-encoded and checksummed afresh. Identical
-//! keys resolve **last-write-wins** in source order; under the purity
-//! contract duplicates carry identical payloads, so in practice a
-//! supersede only happens when two caches were produced by *different*
-//! code or schema versions — the [`MergeReport`] counts them separately so
-//! that drift is visible.
+//! journals; [`merge_into`] folds any set of round journals into a
+//! destination cache, and [`Journal::merge`] does the same for a journal of
+//! any codec (the `CARQANA1` digests of `vanet-analysis`). Records are
+//! validated exactly like an open replays them — checksummed, UTF-8 keys,
+//! decodable payloads — so a journal that was torn mid-write on the worker
+//! (or corrupted in transit) contributes its clean prefix and reports the
+//! dropped tail instead of poisoning the destination; the source file is
+//! only read. A verified record whose value re-encodes to its payload byte
+//! for byte is appended verbatim; one that decodes but is not in the
+//! codec's canonical form is re-encoded and checksummed afresh. Records
+//! land in source-journal order, and identical keys resolve
+//! **last-write-wins** in that order; under the purity contract duplicates
+//! carry identical payloads, so in practice a supersede only happens when
+//! two journals were produced by *different* code or schema versions — the
+//! [`MergeReport`] counts them separately so that drift is visible.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use crate::store::{replay, CacheError, IngestOutcome, SweepCache, JOURNAL_FILE, MAGIC};
+use crate::journal::{foreign, header_torn, replay, IngestOutcome, Journal, RecordCodec};
+use crate::store::{CacheError, SweepCache};
 
-/// What a [`merge_into`] did, per record disposition.
+/// What a merge did, per record disposition.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MergeReport {
     /// Source journals read.
@@ -28,9 +31,9 @@ pub struct MergeReport {
     /// Records appended under keys the destination did not hold.
     pub records_ingested: usize,
     /// Records skipped because the destination already held an identical
-    /// report — the expected case when shards overlap or are re-merged.
+    /// value — the expected case when shards overlap or are re-merged.
     pub records_duplicate: usize,
-    /// Records that *replaced* a differing report under the same key
+    /// Records that *replaced* a differing value under the same key
     /// (last-write-wins). Non-zero means the sources disagree — different
     /// code or schema versions produced them.
     pub records_superseded: usize,
@@ -45,80 +48,84 @@ impl MergeReport {
     }
 }
 
-/// Resolves a source argument: a cache *directory* means its journal file,
-/// anything else is taken as a journal path directly.
-fn source_journal(path: &Path) -> std::path::PathBuf {
-    if path.is_dir() {
-        path.join(JOURNAL_FILE)
-    } else {
-        path.to_path_buf()
-    }
-}
-
 /// Unions the shard journals (or whole cache directories) in `sources`
 /// into `dest`, in order, validating every record on ingest. See the
-/// module docs for the exact semantics; `dest` must be a writable handle.
-///
-/// # Errors
-///
-/// A missing or unrecognised source journal (an explicitly listed source
-/// that cannot contribute is a caller error, not a skip), a source that
-/// *is* the destination, and I/O or append failures. A failed merge leaves
-/// the destination valid — every record already ingested stays.
+/// module docs for the exact semantics and [`Journal::merge`] for the
+/// errors; `dest` must be a writable handle.
 pub fn merge_into<P: AsRef<Path>>(
     dest: &SweepCache,
     sources: &[P],
 ) -> Result<MergeReport, CacheError> {
-    let dest_journal = dest.journal_path().canonicalize().ok();
-    let mut report = MergeReport::default();
-    for source in sources {
-        let path = source_journal(source.as_ref());
-        if dest_journal.is_some() && path.canonicalize().ok() == dest_journal {
-            return Err(CacheError::new(&path, "cannot merge a cache into itself"));
-        }
-        let buf = std::fs::read(&path)
-            .map_err(|e| CacheError::io(&path, "read the shard journal", &e))?;
-        if !buf.starts_with(MAGIC) {
+    dest.journal().merge(sources)
+}
+
+impl<C: RecordCodec> Journal<C> {
+    /// Unions the journals in `sources` into this one, in order. A source
+    /// *directory* means its `C::FILE_NAME` journal; anything else is taken
+    /// as a journal path. Sources are read, never written: a torn tail is
+    /// skipped and counted in [`MergeReport::torn_bytes_dropped`].
+    ///
+    /// # Errors
+    ///
+    /// A missing or unrecognised source journal (an explicitly listed source
+    /// that cannot contribute is a caller error, not a skip), a source that
+    /// *is* this journal, and I/O or append failures. A failed merge leaves
+    /// the destination valid — every record already ingested stays.
+    pub fn merge<P: AsRef<Path>>(&mut self, sources: &[P]) -> Result<MergeReport, CacheError> {
+        let dest_journal = self.path().canonicalize().ok();
+        let mut report = MergeReport::default();
+        for source in sources {
+            let source = source.as_ref();
+            let path =
+                if source.is_dir() { source.join(C::FILE_NAME) } else { PathBuf::from(source) };
+            if dest_journal.is_some() && path.canonicalize().ok() == dest_journal {
+                return Err(CacheError::new(&path, "cannot merge a cache into itself"));
+            }
+            let buf = std::fs::read(&path)
+                .map_err(|e| CacheError::io(&path, "read the shard journal", &e))?;
             // A bare or torn-in-the-header journal holds no records; an
             // unrelated file is refused outright.
-            if MAGIC.starts_with(buf.as_slice()) {
-                report.sources += 1;
-                report.torn_bytes_dropped += buf.len() as u64;
-                continue;
-            }
-            return Err(CacheError::new(
-                &path,
-                "not a vanet-cache journal (unrecognised header); refusing to merge it",
-            ));
+            let valid_len = match header_torn::<C>(&buf) {
+                None => return Err(foreign::<C>(&path, "merge")),
+                Some(true) => 0,
+                Some(false) => {
+                    let mut failure: Option<CacheError> = None;
+                    let valid_len = replay::<C>(&buf, |key, value, record| {
+                        if failure.is_some() {
+                            return;
+                        }
+                        match self.ingest(key, value, Some(record)) {
+                            Ok(IngestOutcome::Inserted) => report.records_ingested += 1,
+                            Ok(IngestOutcome::Duplicate) => report.records_duplicate += 1,
+                            Ok(IngestOutcome::Superseded) => report.records_superseded += 1,
+                            Err(e) => failure = Some(e),
+                        }
+                    });
+                    if let Some(e) = failure {
+                        return Err(e);
+                    }
+                    valid_len
+                }
+            };
+            report.sources += 1;
+            report.torn_bytes_dropped += (buf.len() - valid_len) as u64;
         }
-        let mut failure: Option<CacheError> = None;
-        let valid_len = replay(&buf, |key, record_report, record| {
-            if failure.is_some() {
-                return;
-            }
-            match dest.ingest(key, record_report, record) {
-                Ok(IngestOutcome::Inserted) => report.records_ingested += 1,
-                Ok(IngestOutcome::Duplicate) => report.records_duplicate += 1,
-                Ok(IngestOutcome::Superseded) => report.records_superseded += 1,
-                Err(e) => failure = Some(e),
-            }
-        });
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        report.sources += 1;
-        report.torn_bytes_dropped += (buf.len() - valid_len) as u64;
+        Ok(report)
     }
-    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::frame as framed;
     use crate::key::CacheKey;
+    use crate::store::RoundReportCodec;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use vanet_stats::{RoundReport, RoundResult};
+
+    const JOURNAL_FILE: &str = RoundReportCodec::FILE_NAME;
+    const MAGIC: &[u8] = RoundReportCodec::MAGIC;
 
     fn temp_dir(tag: &str) -> PathBuf {
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -310,18 +317,6 @@ mod tests {
         bytes
     }
 
-    /// A journal record framing `payload` under `key` with a valid checksum.
-    fn framed(key: &str, payload: &[u8]) -> Vec<u8> {
-        let checksum = crate::key::fnv1a64_chain(crate::key::fnv1a64(key.as_bytes()), payload);
-        let mut record = Vec::new();
-        record.extend_from_slice(&(key.len() as u32).to_le_bytes());
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&checksum.to_le_bytes());
-        record.extend_from_slice(key.as_bytes());
-        record.extend_from_slice(payload);
-        record
-    }
-
     #[test]
     fn non_canonical_source_payloads_are_re_encoded_with_a_fresh_checksum() {
         // An unsorted run with a repeat decodes to the set {0, 3, 7}, which
@@ -334,8 +329,7 @@ mod tests {
         let src = temp_dir("non-canonical-src");
         std::fs::create_dir_all(&src).unwrap();
         let k = key(0);
-        let source =
-            [&MAGIC[..], &framed(k.as_str(), &payload), &framed(key(1).as_str(), &canonical)];
+        let source = [MAGIC, &framed(k.as_str(), &payload), &framed(key(1).as_str(), &canonical)];
         std::fs::write(src.join(JOURNAL_FILE), source.concat()).unwrap();
 
         let dest_dir = temp_dir("non-canonical-dest");
@@ -346,7 +340,7 @@ mod tests {
         drop(dest);
         let written = std::fs::read(dest_dir.join(JOURNAL_FILE)).unwrap();
         let expected =
-            [&MAGIC[..], &framed(k.as_str(), &canonical), &framed(key(1).as_str(), &canonical)];
+            [MAGIC, &framed(k.as_str(), &canonical), &framed(key(1).as_str(), &canonical)];
         assert_eq!(written, expected.concat(), "re-encoded canonically, checksummed afresh");
         let reopened = SweepCache::open(&dest_dir).unwrap();
         assert_eq!(reopened.get(&k), Some(report.clone()));

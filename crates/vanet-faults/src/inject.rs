@@ -5,7 +5,10 @@
 //! to their own `(worker, attempt)`; the storage and execution seams then
 //! consult the injector at two chokepoints — [`round_start`] before every
 //! fresh simulated round, and [`before_append`] around every journal
-//! append. When nothing is armed (every production run), each hook is a
+//! append. There is one append path, the shared `vanet_cache::Journal`,
+//! so the append counter spans both of its formats: an injected fault hits
+//! the N-th append the *process* performs, round report or analysis digest
+//! alike. When nothing is armed (every production run), each hook is a
 //! single relaxed atomic load with no allocation and no branch taken —
 //! the same "pay only if you use it" discipline as `vanet-trace`'s
 //! `NoTrace` sink, proven by the bench allocation gate.
@@ -19,16 +22,6 @@ use crate::plan::{FaultKind, FaultSpec, STALL_MS};
 /// Exit code of a worker killed by an injected fault, distinct from both
 /// success and real error codes so supervisor reports name the cause.
 pub const CHAOS_EXIT: i32 = 86;
-
-/// Which journal an append targets (the counter spans both — an injected
-/// fault hits the N-th append the *process* performs, whichever store).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StoreKind {
-    /// The `VANETCACHE1` round-report journal.
-    Sweep,
-    /// The `CARQANA1` analysis-digest journal.
-    Analysis,
-}
 
 /// What the append seam must do with the (possibly mutated) record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -193,7 +186,8 @@ pub fn progress() -> u64 {
     PROGRESS.load(Ordering::Relaxed)
 }
 
-/// Hook around every journal append. May mutate the record (bit rot),
+/// Hook around every journal append (the shared journal's one append
+/// path, whichever format it writes). May mutate the record (bit rot),
 /// delay (slow disk), fail (transient I/O error) or demand a torn write.
 /// Free when disarmed.
 ///
@@ -202,7 +196,7 @@ pub fn progress() -> u64 {
 /// The injected transient I/O error, surfaced as a real `io::Error` so the
 /// seam's caller exercises its genuine failure path.
 #[inline]
-pub fn before_append(_store: StoreKind, record: &mut [u8]) -> std::io::Result<AppendAction> {
+pub fn before_append(record: &mut [u8]) -> std::io::Result<AppendAction> {
     let Some(armed) = ARMED.get() else { return Ok(AppendAction::Write) };
     armed.append_decision(record)
 }
@@ -219,7 +213,7 @@ mod tests {
     fn disarmed_hooks_are_inert() {
         assert!(!is_armed());
         let mut record = vec![1, 2, 3];
-        assert_eq!(before_append(StoreKind::Sweep, &mut record).unwrap(), AppendAction::Write);
+        assert_eq!(before_append(&mut record).unwrap(), AppendAction::Write);
         assert_eq!(record, vec![1, 2, 3]);
         let before = progress();
         round_done();

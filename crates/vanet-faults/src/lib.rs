@@ -28,8 +28,7 @@ mod inject;
 mod plan;
 
 pub use inject::{
-    arm, before_append, is_armed, progress, round_done, round_start, AppendAction, StoreKind,
-    CHAOS_EXIT,
+    arm, before_append, is_armed, progress, round_done, round_start, AppendAction, CHAOS_EXIT,
 };
 pub use plan::{FaultKind, FaultPlan, FaultSpec, FAULT_MAGIC, STALL_MS};
 /// The splitmix64 step the fault plans and the fleet supervisor's backoff
